@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci fmt-check fuzz-smoke bench-smoke loadgen-smoke bench-compare bench-baseline vuln build test test-short vet cover race bench bench-build bench-serve bench-store experiments fuzz verify serve-test clean
+.PHONY: all check ci fmt-check perfbench-check fuzz-smoke bench-smoke loadgen-smoke bench-compare bench-baseline vuln build test test-short vet cover race bench bench-build bench-serve bench-store experiments fuzz verify serve-test clean
 
 all: build vet test
 
@@ -15,7 +15,7 @@ check: build vet test-short race serve-test verify
 
 # Mirrors .github/workflows/ci.yml job for job, so a green local `make
 # ci` predicts a green CI run (module download aside).
-ci: fmt-check check fuzz-smoke bench-smoke loadgen-smoke bench-compare vuln
+ci: fmt-check check perfbench-check fuzz-smoke bench-smoke loadgen-smoke bench-compare vuln
 
 # The CI formatting gate: gofmt must have nothing to say.
 fmt-check:
@@ -23,6 +23,13 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# The benchmark harness is its own module (repro/perfbench), so the
+# root `go build ./...` and `go vet ./...` never compile it: vet and
+# test it from inside, so an API change in the root module cannot
+# break the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The CI fuzz gate: a brief seed-corpus + 30s mutation pass over the
 # surfaces that parse adversarial bytes — the batched evaluator, the

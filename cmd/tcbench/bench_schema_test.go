@@ -188,18 +188,18 @@ func TestBenchServeSchema(t *testing.T) {
 func TestBenchStoreSchema(t *testing.T) {
 	var rows []storeBenchRow
 	loadRows(t, "BENCH_store.json", &rows)
-	have := make(map[[2]any]bool)
+	have := make(map[int]bool)
 	for i, r := range rows {
-		have[[2]any{r.N, r.Format}] = true
+		have[r.N] = true
 		if r.Circuit == "" || r.N <= 0 || r.Gates <= 0 || r.Bytes <= 0 ||
 			r.Repeats <= 0 || r.GoMaxProcs <= 0 || r.NumCPU <= 0 ||
 			r.BuildSecMean <= 0 || r.BuildSecMin <= 0 ||
 			r.SaveSecMean <= 0 || r.SaveSecMin <= 0 ||
 			r.LoadColdSec <= 0 || r.LoadWarmSecMean <= 0 || r.LoadWarmSecMin <= 0 ||
-			r.BytesVsTCS1 <= 0 {
+			r.BytesVsFlat <= 0 {
 			t.Errorf("row %d malformed: %+v", i, r)
 		}
-		if r.Format != "tcs1" && r.Format != "tcs2" {
+		if r.Format != "tcs2" {
 			t.Errorf("row %d: unknown format %q", i, r.Format)
 		}
 		if r.BuildSecMin > r.BuildSecMean*(1+1e-9) ||
@@ -219,17 +219,18 @@ func TestBenchStoreSchema(t *testing.T) {
 		if !r.Certified {
 			t.Errorf("row %d (n=%d %s): reloaded circuit failed re-certification", i, r.N, r.Format)
 		}
-		// The TCS2 acceptance bars, armed on the N=16 row: a quarter of
-		// the TCS1 footprint, saving no slower than building, and a warm
-		// mapped reload at least 15x faster than the cold parallel build.
+		// The store's acceptance bars, armed on the N=16 row: a quarter
+		// of the flat encoding's footprint, saving no slower than
+		// building, and a warm mapped reload at least 15x faster than the
+		// cold parallel build.
 		// The speedup bar divides two measured wall-clock figures, so it
 		// moves when either side does: on the 1-core reference box the
 		// ratio ranges 17–21x (warm load steady at ~0.09s, build 1.8–2.0s
 		// run to run). 15x keeps it a load-path-regression tripwire, not
 		// a build-speed jitter detector.
-		if r.N == 16 && r.Format == "tcs2" {
-			if r.BytesVsTCS1 > 0.25 {
-				t.Errorf("n=16 tcs2 artifact is %.1f%% of TCS1, above the 25%% bar", r.BytesVsTCS1*100)
+		if r.N == 16 {
+			if r.BytesVsFlat > 0.25 {
+				t.Errorf("n=16 tcs2 artifact is %.1f%% of the flat encoding, above the 25%% bar", r.BytesVsFlat*100)
 			}
 			if r.SaveSecMean > r.BuildSecMean {
 				t.Errorf("n=16 tcs2 save %.3fs slower than build %.3fs", r.SaveSecMean, r.BuildSecMean)
@@ -240,10 +241,8 @@ func TestBenchStoreSchema(t *testing.T) {
 		}
 	}
 	for _, n := range []int{8, 16} {
-		for _, format := range []string{"tcs1", "tcs2"} {
-			if !have[[2]any{n, format}] {
-				t.Errorf("BENCH_store.json missing the n=%d %s row", n, format)
-			}
+		if !have[n] {
+			t.Errorf("BENCH_store.json missing the n=%d row", n)
 		}
 	}
 }

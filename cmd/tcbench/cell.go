@@ -222,7 +222,7 @@ func cellE25(cell exp.Cell) (map[string]float64, error) {
 	}, nil
 }
 
-// cellE26 — store round-trip economics in the default (TCS2) format:
+// cellE26 — store round-trip economics:
 // save, cold load on a fresh cache, warm reload, artifact bytes.
 func cellE26(cell exp.Cell) (map[string]float64, error) {
 	shape := core.Shape{Op: core.OpMatMul, N: cell.N, Alg: "strassen", EntryBits: 2, Signed: true}
@@ -237,7 +237,7 @@ func cellE26(cell exp.Cell) (map[string]float64, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	writer, err := store.OpenWith(dir, store.Options{})
+	writer, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func cellE26(cell exp.Cell) (map[string]float64, error) {
 		return nil, err
 	}
 
-	reader, err := store.OpenWith(dir, store.Options{})
+	reader, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -17,16 +18,15 @@ import (
 )
 
 // storeBenchRow is one BENCH_store.json entry — the build-once/
-// serve-many economics of the circuit store, one row per (shape,
-// envelope format). Timing follows BENCH_build.json conventions:
-// mean/min over Repeats back-to-back runs, with GoMaxProcs/NumCPU
-// recording the parallelism the build phase actually had. LoadColdSec
-// is the first load a freshly opened cache performs (for TCS2 the
-// mmap path: map, checksum, decode); the warm figures are steady-state
-// reloads. Speedup divides the contention-free build by the best warm
-// load — the restart-vs-rebuild ratio a warm server sees. BytesVsTCS1
-// is the artifact's size relative to the TCS1 envelope of the same
-// circuit (1.0 for the TCS1 rows themselves).
+// serve-many economics of the circuit store, one row per shape.
+// Timing follows BENCH_build.json conventions: mean/min over Repeats
+// back-to-back runs, with GoMaxProcs/NumCPU recording the parallelism
+// the build phase actually had. LoadColdSec is the first load a freshly
+// opened cache performs (the mmap path: map, checksum, decode); the
+// warm figures are steady-state reloads. Speedup divides the
+// contention-free build by the best warm load — the restart-vs-rebuild
+// ratio a warm server sees. BytesVsFlat is the artifact's size relative
+// to the flat encoding of the same circuit (circuit.WriteTo's bytes).
 type storeBenchRow struct {
 	Circuit         string  `json:"circuit"`
 	N               int     `json:"n"`
@@ -48,21 +48,20 @@ type storeBenchRow struct {
 	LoadWarmSecStd  float64 `json:"load_warm_sec_std"`
 	LoadWarmSecMin  float64 `json:"load_warm_sec_min"`
 	Speedup         float64 `json:"speedup_load_vs_build"`
-	BytesVsTCS1     float64 `json:"bytes_vs_tcs1"`
+	BytesVsFlat     float64 `json:"bytes_vs_flat"`
 	Identical       bool    `json:"identical"`
 	Certified       bool    `json:"certified"`
 }
 
-// e26: store round-trip economics across both envelope generations.
-// For N=8 and N=16 Strassen matmul the cold parallel build is timed
-// against saving into and reloading from the disk cache, once per
-// format. The reloaded circuit must be bit-identical (re-encoded
-// canonical envelope equal byte for byte, random batches evaluating
-// to the same output bits) and must re-certify against the paper's
-// bounds — for TCS2 that certification runs on the mmap-backed
-// circuit, whose arenas alias the file pages. The schema test pins
-// the acceptance bars on the N=16 TCS2 row: bytes <= TCS1/4,
-// save <= build, warm mapped load >= 20x faster than the build.
+// e26: store round-trip economics. For N=8 and N=16 Strassen matmul
+// the cold parallel build is timed against saving into and reloading
+// from the disk cache. The reloaded circuit must be bit-identical
+// (re-encoded TCS2 envelope equal byte for byte, random batches
+// evaluating to the same output bits) and must re-certify against the
+// paper's bounds — that certification runs on the mmap-backed circuit,
+// whose arenas alias the file pages. The schema test pins the
+// acceptance bars on the N=16 row: bytes <= flat/4, save <= build,
+// warm mapped load >= 15x faster than the build.
 func e26() {
 	dir, err := os.MkdirTemp("", "tcbench-e26-*")
 	if err != nil {
@@ -94,94 +93,88 @@ func e26() {
 		}
 		buildMean, buildStd, buildMin := exp.Stats(buildSecs)
 
-		var tcs1Bytes int64
-		for _, format := range []string{"tcs1", "tcs2"} {
-			opts := store.Options{}
-			if format == "tcs1" {
-				opts.Format = store.FormatVersion
-			}
-			fdir := fmt.Sprintf("%s/n%d-%s", dir, n, format)
-			writer, err := store.OpenWith(fdir, opts)
-			if err != nil {
-				panic(err)
-			}
-
-			var path string
-			saveSecs := make([]float64, 0, repeats)
-			for i := 0; i < repeats; i++ {
-				start := time.Now()
-				path, err = writer.Save(built)
-				if err != nil {
-					panic(err)
-				}
-				saveSecs = append(saveSecs, time.Since(start).Seconds())
-			}
-			saveMean, saveStd, saveMin := exp.Stats(saveSecs)
-			fi, err := os.Stat(path)
-			if err != nil {
-				panic(err)
-			}
-			if format == "tcs1" {
-				tcs1Bytes = fi.Size()
-			}
-
-			// A fresh cache over the same directory is the restart path:
-			// its first load is the cold figure (for TCS2: map the file,
-			// verify every segment, decode the group streams), repeated
-			// loads after it are the steady state.
-			reader, err := store.OpenWith(fdir, opts)
-			if err != nil {
-				panic(err)
-			}
-			start := time.Now()
-			loaded, err := reader.Load(shape)
-			if err != nil {
-				panic(err)
-			}
-			loadCold := time.Since(start).Seconds()
-			warmSecs := make([]float64, 0, repeats)
-			for i := 0; i < repeats; i++ {
-				start = time.Now()
-				loaded, err = reader.Load(shape)
-				if err != nil {
-					panic(err)
-				}
-				warmSecs = append(warmSecs, time.Since(start).Seconds())
-			}
-			warmMean, warmStd, warmMin := exp.Stats(warmSecs)
-
-			// Identity and certification run against the last warm load —
-			// under TCS2 a circuit whose arenas alias the mapped file.
-			identical := identicalBuilt(built, loaded)
-			certified := false
-			if _, err := verify.CertifyBuilt(loaded); err == nil {
-				certified = true
-			}
-			reader.Close()
-			writer.Close()
-
-			rows = append(rows, storeBenchRow{
-				Circuit: "matmul/strassen", N: n, Format: format,
-				Gates: built.Circuit().Size(), Bytes: fi.Size(),
-				Repeats: repeats, GoMaxProcs: maxProcs, NumCPU: runtime.NumCPU(),
-				GitSHA:       exp.GitSHA(),
-				BuildSecMean: buildMean, BuildSecStd: buildStd, BuildSecMin: buildMin,
-				SaveSecMean: saveMean, SaveSecStd: saveStd, SaveSecMin: saveMin,
-				LoadColdSec:     loadCold,
-				LoadWarmSecMean: warmMean, LoadWarmSecStd: warmStd, LoadWarmSecMin: warmMin,
-				Speedup:     buildMin / warmMin,
-				BytesVsTCS1: float64(fi.Size()) / float64(tcs1Bytes),
-				Identical:   identical, Certified: certified,
-			})
+		flatBytes, err := built.Circuit().WriteTo(io.Discard)
+		if err != nil {
+			panic(err)
 		}
+		cdir := fmt.Sprintf("%s/n%d", dir, n)
+		writer, err := store.Open(cdir)
+		if err != nil {
+			panic(err)
+		}
+
+		var path string
+		saveSecs := make([]float64, 0, repeats)
+		for i := 0; i < repeats; i++ {
+			start := time.Now()
+			path, err = writer.Save(built)
+			if err != nil {
+				panic(err)
+			}
+			saveSecs = append(saveSecs, time.Since(start).Seconds())
+		}
+		saveMean, saveStd, saveMin := exp.Stats(saveSecs)
+		fi, err := os.Stat(path)
+		if err != nil {
+			panic(err)
+		}
+
+		// A fresh cache over the same directory is the restart path: its
+		// first load is the cold figure (map the file, verify every
+		// segment, decode the group streams), repeated loads after it are
+		// the steady state.
+		reader, err := store.Open(cdir)
+		if err != nil {
+			panic(err)
+		}
+		start := time.Now()
+		loaded, err := reader.Load(shape)
+		if err != nil {
+			panic(err)
+		}
+		loadCold := time.Since(start).Seconds()
+		warmSecs := make([]float64, 0, repeats)
+		for i := 0; i < repeats; i++ {
+			start = time.Now()
+			loaded, err = reader.Load(shape)
+			if err != nil {
+				panic(err)
+			}
+			warmSecs = append(warmSecs, time.Since(start).Seconds())
+		}
+		warmMean, warmStd, warmMin := exp.Stats(warmSecs)
+
+		// Identity and certification run against the last warm load — a
+		// circuit whose arenas alias the mapped file.
+		identical := identicalBuilt(built, loaded)
+		certified := false
+		if _, err := verify.CertifyBuilt(loaded); err == nil {
+			certified = true
+		}
+		reader.Close()
+		writer.Close()
+
+		rows = append(rows, storeBenchRow{
+			Circuit: "matmul/strassen", N: n, Format: "tcs2",
+			Gates: built.Circuit().Size(), Bytes: fi.Size(),
+			Repeats: repeats, GoMaxProcs: maxProcs, NumCPU: runtime.NumCPU(),
+			GitSHA:       exp.GitSHA(),
+			BuildSecMean: buildMean, BuildSecStd: buildStd, BuildSecMin: buildMin,
+			SaveSecMean: saveMean, SaveSecStd: saveStd, SaveSecMin: saveMin,
+			LoadColdSec:     loadCold,
+			LoadWarmSecMean: warmMean, LoadWarmSecStd: warmStd, LoadWarmSecMin: warmMin,
+			Speedup:     buildMin / warmMin,
+			BytesVsFlat: float64(fi.Size()) / float64(flatBytes),
+			Identical:   identical, Certified: certified,
+		})
 	}
 
-	fmt.Printf("%-16s %4s %5s %9s %11s %9s %9s %9s %9s %9s %7s %6s %5s\n",
-		"circuit", "n", "fmt", "gates", "bytes", "build-s", "save-s", "cold-s", "warm-s", "speedup", "vs-t1", "ident", "cert")
+	fmt.Printf("%-16s %4s %5s %9s %11s %9s %9s %9s %9s %9s %8s %6s %5s\n",
+		"circuit", "n", "fmt", "gates", "bytes", "build-s", "save-s", "cold-s", "warm-s", "speedup", "vs-flat", "ident", "cert")
 	for _, r := range rows {
-		fmt.Printf("%-16s %4d %5s %9d %11d %9.3f %9.3f %9.3f %9.3f %8.1fx %6.1f%% %6v %5v\n",
+		fmt.Printf("%-16s %4d %5s %9d %11d %9.3f %9.3f %9.3f %9.3f %8.1fx %7.1f%% %6v %5v\n",
 			r.Circuit, r.N, r.Format, r.Gates, r.Bytes, r.BuildSecMean, r.SaveSecMean,
-			r.LoadColdSec, r.LoadWarmSecMin, r.Speedup, r.BytesVsTCS1*100, r.Identical, r.Certified)
+			r.LoadColdSec, r.LoadWarmSecMin, r.Speedup, r.BytesVsFlat*100, r.Identical, r.Certified)
 	}
 
 	out, err := json.MarshalIndent(rows, "", "  ")
@@ -196,15 +189,15 @@ func e26() {
 
 // identicalBuilt checks the two bit-identity properties the store
 // guarantees: re-encoding the reloaded Built reproduces the original's
-// canonical envelope byte for byte (the TCS1 codec is the canonical
-// form, so this holds whichever format the reload came through), and a
-// batch of random samples evaluates to the same output bits on both.
+// TCS2 envelope byte for byte (the encoder is deterministic, so this
+// holds however the reload came about), and a batch of random samples
+// evaluates to the same output bits on both.
 func identicalBuilt(a, b *core.Built) bool {
-	ea, err := store.Encode(a)
+	ea, err := store.EncodeTCS2(a)
 	if err != nil {
 		return false
 	}
-	eb, err := store.Encode(b)
+	eb, err := store.EncodeTCS2(b)
 	if err != nil {
 		return false
 	}

@@ -28,6 +28,8 @@ package main
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -241,14 +243,32 @@ func graphRun(url string, o graphOptions) int {
 		Timeout:   60 * time.Second,
 	}
 
+	// Tenant names carry a per-run prefix so a run never collides with
+	// the sessions of an earlier or concurrent run on the same server,
+	// and every session this run opened is closed when it ends, so runs
+	// do not pile sessions up in the server's LRU.
+	prefix, err := runPrefix()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tcload: %v\n", err)
+		return 2
+	}
+	var opened []*load.GraphStream
+	defer func() {
+		for _, gs := range opened {
+			if _, err := load.PostGraph(client, url, stream.GraphRequest{Op: stream.OpClose, Tenant: gs.Tenant}); err != nil {
+				fmt.Fprintf(os.Stderr, "tcload: close %s: %v\n", gs.Tenant, err)
+			}
+		}
+	}()
 	pool := make(chan *load.GraphStream, o.tenants)
 	for i := 0; i < o.tenants; i++ {
-		gs := load.NewGraphStream(fmt.Sprintf("tenant-%03d", i), o.n, o.tau, o.seed+int64(1000*i))
+		gs := load.NewGraphStream(fmt.Sprintf("%s-tenant-%03d", prefix, i), o.n, o.tau, o.seed+int64(1000*i))
 		gs.Energy = o.energy
 		if _, err := load.PostGraph(client, url, gs.CreateRequest()); err != nil {
 			fmt.Fprintf(os.Stderr, "tcload: create %s: %v\n", gs.Tenant, err)
 			return 2
 		}
+		opened = append(opened, gs)
 		pool <- gs
 	}
 
@@ -312,6 +332,15 @@ func graphRun(url string, o graphOptions) int {
 		return 1
 	}
 	return 0
+}
+
+// runPrefix returns a random name prefix unique to one graph run.
+func runPrefix() (string, error) {
+	var b [6]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		return "", fmt.Errorf("run prefix: %w", err)
+	}
+	return "run-" + hex.EncodeToString(b[:]), nil
 }
 
 // probeHealth is the scripts' readiness check: one short GET of

@@ -11,7 +11,7 @@ import (
 
 // cmdSave builds a circuit and writes it in the binary codec, so
 // expensive constructions are paid once. With -cache-dir it instead
-// saves into the content-addressed store (checksummed envelope that
+// saves into the content-addressed store (the TCS2 envelope, which
 // also carries the decode maps, reloadable by `tcmm load` and tcserve).
 func cmdSave(args []string) error {
 	fs := flag.NewFlagSet("save", flag.ExitOnError)
@@ -25,11 +25,10 @@ func cmdSave(args []string) error {
 	shared := fs.Bool("shared", false, "enable the MSB-sharing optimization")
 	out := fs.String("out", "circuit.tcm", "output path (raw codec; ignored with -cache-dir)")
 	cacheDir := fs.String("cache-dir", "", "save into this content-addressed store instead of -out")
-	format := fs.String("format", "tcs2", "store envelope format: tcs2 (compact, mmap-able) or tcs1 (legacy)")
 	fs.Parse(args)
 
 	if *cacheDir != "" {
-		return saveToStore(*cacheDir, shapeFromFlags(*kind, *n, *algName, *d, *bits, *signed, *tau, *shared), *format)
+		return saveToStore(*cacheDir, shapeFromFlags(*kind, *n, *algName, *d, *bits, *signed, *tau, *shared))
 	}
 
 	alg, err := tcmm.LookupAlgorithm(*algName)

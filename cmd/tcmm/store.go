@@ -29,27 +29,11 @@ func shapeFromFlags(kind string, n int, alg string, d, bits int, signed bool, ta
 	return s
 }
 
-// storeOptions maps a -format flag value onto store.Options.
-func storeOptions(format string) (store.Options, error) {
-	switch format {
-	case "", "tcs2":
-		return store.Options{}, nil
-	case "tcs1":
-		return store.Options{Format: store.FormatVersion}, nil
-	default:
-		return store.Options{}, fmt.Errorf("unknown format %q (want tcs1 or tcs2)", format)
-	}
-}
-
 // saveToStore builds the shaped circuit and persists it into the
 // content-addressed cache (parallel build; the artifact is identical
 // to a sequential one).
-func saveToStore(dir string, shape core.Shape, format string) error {
-	opts, err := storeOptions(format)
-	if err != nil {
-		return err
-	}
-	cache, err := store.OpenWith(dir, opts)
+func saveToStore(dir string, shape core.Shape) error {
+	cache, err := store.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -119,8 +103,8 @@ func cmdLoad(args []string) error {
 }
 
 // cmdStat summarizes one or more on-disk artifacts from their headers
-// alone — shape, dimensions, format generation and (TCS2) root digest —
-// without loading, verifying or expanding the circuit.
+// alone — shape, dimensions, format version and root digest — without
+// loading, verifying or expanding the circuit.
 func cmdStat(args []string) error {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	fs.Usage = func() {
@@ -131,12 +115,6 @@ func cmdStat(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("no artifacts given")
 	}
-	dim := func(v int64) string {
-		if v < 0 {
-			return "-"
-		}
-		return fmt.Sprint(v)
-	}
 	for _, path := range fs.Args() {
 		info, err := store.Stat(path)
 		if err != nil {
@@ -144,12 +122,9 @@ func cmdStat(args []string) error {
 		}
 		fmt.Printf("%s: TCS%d, %d bytes\n", info.Path, info.Format, info.FileSize)
 		fmt.Printf("  shape   %s\n", info.ShapeKey)
-		fmt.Printf("  gates=%s groups=%s inputs=%s outputs=%s edges(stored)=%s depth=%s\n",
-			dim(info.Gates), dim(info.Groups), dim(info.Inputs),
-			dim(info.Outputs), dim(info.StoredEdges), dim(info.Depth))
-		if info.RootDigest != "" {
-			fmt.Printf("  root    sha256:%s (%d integrity segments)\n", info.RootDigest, info.Segments)
-		}
+		fmt.Printf("  gates=%d groups=%d inputs=%d outputs=%d edges(stored)=%d depth=%d\n",
+			info.Gates, info.Groups, info.Inputs, info.Outputs, info.StoredEdges, info.Depth)
+		fmt.Printf("  root    sha256:%s (%d integrity segments)\n", info.RootDigest, info.Segments)
 	}
 	return nil
 }

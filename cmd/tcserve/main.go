@@ -64,8 +64,6 @@ func main() {
 		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 		cacheDir    = flag.String("cache-dir", "", "content-addressed circuit store; LRU misses warm-start from disk (empty = build-only)")
-		cacheFmt    = flag.String("cache-format", "tcs2", "store envelope format: tcs2 (compact, mmap warm-start) or tcs1 (legacy)")
-		cacheNoMap  = flag.Bool("cache-no-map", false, "decode artifacts onto the heap instead of mmap (debugging)")
 		maxSessions = flag.Int("stream-max-sessions", 1024, "graph-session LRU bound (oldest sessions retire)")
 		maxStreamN  = flag.Int("stream-max-n", 64, "largest per-tenant graph accepted on /v1/graph")
 	)
@@ -85,17 +83,7 @@ func main() {
 		cfg.Linger = -1 // Config treats 0 as "default"; negative disables
 	}
 	if *cacheDir != "" {
-		opts := store.Options{NoMap: *cacheNoMap}
-		switch *cacheFmt {
-		case "tcs2":
-			// store's default format
-		case "tcs1":
-			opts.Format = store.FormatVersion
-		default:
-			fmt.Fprintf(os.Stderr, "tcserve: unknown -cache-format %q (want tcs1 or tcs2)\n", *cacheFmt)
-			os.Exit(2)
-		}
-		cache, err := store.OpenWith(*cacheDir, opts)
+		cache, err := store.Open(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tcserve: open cache: %v\n", err)
 			os.Exit(1)
@@ -103,7 +91,7 @@ func main() {
 		// Mapped artifacts are the server's working set; the cache stays
 		// open for the life of the process, so no Close here.
 		cfg.Cache = cache
-		log.Printf("tcserve: circuit store at %s (%s)", cache.Dir(), *cacheFmt)
+		log.Printf("tcserve: circuit store at %s", cache.Dir())
 	}
 	s := serve.New(cfg)
 	m := stream.NewManager(stream.Config{

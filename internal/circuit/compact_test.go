@@ -155,12 +155,6 @@ func TestAssembleEquivalence(t *testing.T) {
 	if !bytes.Equal(cb.Bytes(), scb.Bytes()) {
 		t.Fatal("shared circuit serializes differently from canonical")
 	}
-	if ab := sc.AppendBinary(nil); !bytes.Equal(ab, cb.Bytes()) {
-		t.Fatal("AppendBinary diverges from WriteTo")
-	}
-	if got, want := int64(len(cb.Bytes())), c.EncodedSize(); got != want {
-		t.Fatalf("EncodedSize %d, wrote %d bytes", want, got)
-	}
 
 	// Splicing a shared circuit must equal splicing the canonical one.
 	splice := func(src *Circuit) *Circuit {

@@ -24,13 +24,6 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Read(bytes.NewReader(data))
-		cb, errB := ReadBytes(data)
-		if errB == nil && err != nil {
-			// ReadBytes is strictly stricter than Read (it additionally
-			// rejects trailing bytes); it must never accept what the
-			// streaming decoder rejects.
-			t.Fatalf("ReadBytes accepted input Read rejected: %v", err)
-		}
 		if err != nil {
 			return
 		}
@@ -42,13 +35,22 @@ func FuzzRead(f *testing.F) {
 		c.OutputValues(vals)
 		_ = c.Energy(vals)
 		_ = c.Stats()
-		if errB == nil {
-			vb := cb.Eval(in)
-			for i := range vals {
-				if vals[i] != vb[i] {
-					t.Fatal("Read and ReadBytes decoded different circuits")
-				}
-			}
+
+		// An accepted circuit round-trips: its canonical encoding reads
+		// back and re-encodes to the same bytes.
+		var b1, b2 bytes.Buffer
+		if _, err := c.WriteTo(&b1); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := Read(bytes.NewReader(b1.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading an accepted circuit: %v", err)
+		}
+		if _, err := c2.WriteTo(&b2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Fatal("accepted circuit does not round-trip byte-identically")
 		}
 	})
 }

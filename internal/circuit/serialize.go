@@ -8,9 +8,10 @@ import (
 )
 
 // Binary circuit format, versioned: circuits with millions of gates
-// round-trip in tens of milliseconds, so a built matmul circuit can be
-// cached on disk instead of reconstructed (see internal/store for the
-// checksummed envelope and the content-addressed cache on top).
+// round-trip in tens of milliseconds, so a built circuit can be saved
+// to a file instead of reconstructed (internal/store's compact TCS2
+// envelope and content-addressed cache are the deduplicated,
+// mmap-able alternative).
 //
 // Layout (little endian):
 //
@@ -21,8 +22,7 @@ import (
 // Counts and weights are int64; wire ids and gate groups are int32. The
 // encoder and decoder use manual little-endian loops over bulk byte
 // buffers rather than encoding/binary's reflective slice path — the
-// difference between ~100 MB/s and multiple GB/s, which is what makes a
-// disk cache load an order of magnitude cheaper than a rebuild.
+// difference between ~100 MB/s and multiple GB/s.
 
 const magic = "TCM1"
 
@@ -46,31 +46,6 @@ func (c *Circuit) WriteTo(w io.Writer) (int64, error) {
 		e.err = bw.Flush()
 	}
 	return cw.n, e.err
-}
-
-// EncodedSize returns the exact number of bytes WriteTo/AppendBinary
-// produce, so callers can pre-size buffers and avoid every intermediate
-// growth copy — at N=16 scale the difference between one 440 MB
-// allocation and a doubling chain over the same bytes.
-func (c *Circuit) EncodedSize() int64 {
-	return 4 + 4*8 + // magic + header
-		int64(len(c.groups))*40 +
-		c.storedEdges*(4+8) + // wires + weights, expanded
-		int64(len(c.thresholds))*(8+4) + // thresholds + gateGroup
-		8 + int64(len(c.outputs))*4
-}
-
-// AppendBinary appends the TCM1 encoding to dst and returns the
-// extended slice, growing dst at most once (to EncodedSize) up front.
-func (c *Circuit) AppendBinary(dst []byte) []byte {
-	if need := c.EncodedSize(); int64(cap(dst)-len(dst)) < need {
-		grown := make([]byte, len(dst), int64(len(dst))+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	e := &encoder{buf: dst} // nil writer: appends in place, never flushes
-	c.encodeTo(e)
-	return e.buf
 }
 
 // encodeTo writes the TCM1 body. Dictionary-shared circuits (Assemble)
@@ -133,7 +108,7 @@ func (e *encoder) flush() {
 }
 
 func (e *encoder) room(n int) bool {
-	if e.w != nil && len(e.buf)+n > cap(e.buf) {
+	if len(e.buf)+n > cap(e.buf) {
 		e.flush()
 	}
 	return e.err == nil
@@ -182,8 +157,7 @@ func (e *encoder) i32s(vs []int32) {
 // invariants so a corrupted stream cannot produce an inconsistent
 // circuit. It consumes exactly the circuit's bytes from r. Slices grow
 // chunk by chunk as data actually arrives, so a lying header fails at
-// EOF with bounded memory; when the whole payload is already in memory
-// ReadBytes is faster (exact allocations, length checked up front).
+// EOF with bounded memory.
 func Read(r io.Reader) (*Circuit, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	scratch := make([]byte, 8*chunkElems)
@@ -293,136 +267,13 @@ func Read(r io.Reader) (*Circuit, error) {
 	return c, nil
 }
 
-// ReadBytes deserializes a circuit from an in-memory buffer holding
-// exactly the bytes WriteTo produced. Unlike Read it checks the claimed
-// element counts against len(data) before allocating, so every slice is
-// allocated exactly once at its final size — the fast path for the
-// on-disk circuit cache, where the checksummed envelope already holds
-// the payload in memory.
-func ReadBytes(data []byte) (*Circuit, error) {
-	d := &sliceDecoder{data: data}
-	if !d.has(4) || string(data[:4]) != magic {
-		if len(data) >= 4 {
-			return nil, fmt.Errorf("circuit: bad magic %q", data[:4])
-		}
-		return nil, fmt.Errorf("circuit: bad magic: truncated")
-	}
-	d.off = 4
-
-	numInputs := d.i64()
-	numGroups := d.i64()
-	numGates := d.i64()
-	numWires := d.i64()
-	if d.err != nil {
-		return nil, fmt.Errorf("circuit: read header: %w", d.err)
-	}
-	if err := checkHeader(numInputs, numGroups, numGates, numWires); err != nil {
-		return nil, err
-	}
-	// Byte budget: groups + wires + weights + thresholds + gateGroup +
-	// output count must fit in what's actually present, so the exact
-	// allocations below never trust the header alone. Counts are bounded
-	// by headerLimit (2^34), so the sum stays far from int64 overflow.
-	need := numGroups*40 + numWires*(4+8) + numGates*(8+4) + 8
-	if int64(len(data)-d.off) < need {
-		return nil, fmt.Errorf("circuit: truncated: header claims %d bytes, have %d", need, len(data)-d.off)
-	}
-
-	c := &Circuit{numInputs: int(numInputs)}
-	c.groups = make([]group, numGroups)
-	for i := range c.groups {
-		g := group{
-			inStart: d.i64(), inEnd: d.i64(),
-			gateStart: int32(d.i64()), gateCount: int32(d.i64()), level: int32(d.i64()),
-		}
-		g.wOff = g.inStart
-		c.groups[i] = g
-	}
-	c.wires = d.i32s(numWires)
-	c.weights = d.i64s(numWires)
-	c.thresholds = d.i64s(numGates)
-	c.gateGroup = d.i32s(numGates)
-	nOut := d.i64()
-	if d.err != nil {
-		return nil, fmt.Errorf("circuit: decode: %w", d.err)
-	}
-	if nOut < 0 || nOut > numInputs+numGates || int64(len(data)-d.off) < nOut*4 {
-		return nil, fmt.Errorf("circuit: implausible output count %d", nOut)
-	}
-	c.outputs = d.i32s(nOut)
-	if d.err != nil {
-		return nil, fmt.Errorf("circuit: read outputs: %w", d.err)
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("circuit: %d trailing bytes after circuit payload", len(data)-d.off)
-	}
-	if err := c.finish(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// checkHeader rejects implausible counts shared by both decoders.
+// checkHeader rejects implausible counts before any allocation.
 func checkHeader(numInputs, numGroups, numGates, numWires int64) error {
 	if numInputs < 0 || numGroups < 0 || numGates < 0 || numWires < 0 ||
 		numGroups > numGates || numGates > headerLimit || numWires > headerLimit || numInputs > headerLimit {
 		return fmt.Errorf("circuit: implausible header [%d %d %d %d]", numInputs, numGroups, numGates, numWires)
 	}
 	return nil
-}
-
-// sliceDecoder reads little-endian values out of a byte slice. All
-// methods return zero values after the first error.
-type sliceDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *sliceDecoder) has(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.data)-d.off < n {
-		d.err = io.ErrUnexpectedEOF
-		return false
-	}
-	return true
-}
-
-func (d *sliceDecoder) i64() int64 {
-	if !d.has(8) {
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(d.data[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *sliceDecoder) i64s(n int64) []int64 {
-	if !d.has(int(n * 8)) {
-		return nil
-	}
-	out := make([]int64, n)
-	b := d.data[d.off:]
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	d.off += int(n * 8)
-	return out
-}
-
-func (d *sliceDecoder) i32s(n int64) []int32 {
-	if !d.has(int(n * 4)) {
-		return nil
-	}
-	out := make([]int32, n)
-	b := d.data[d.off:]
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	d.off += int(n * 4)
-	return out
 }
 
 // finish validates a freshly decoded circuit and rebuilds the derived

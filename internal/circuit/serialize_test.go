@@ -205,84 +205,3 @@ func TestPruneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// ReadBytes is the exact-allocation decoder the on-disk store uses; it
-// must agree with the streaming Read on every valid payload, and a
-// decode→re-encode cycle must be byte-identical (the store asserts
-// round-trips on serialized bytes).
-func TestReadBytesParity(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCircuit(rng)
-		var buf bytes.Buffer
-		if _, err := c.WriteTo(&buf); err != nil {
-			return false
-		}
-		c2, err := ReadBytes(buf.Bytes())
-		if err != nil {
-			t.Logf("ReadBytes: %v", err)
-			return false
-		}
-		var buf2 bytes.Buffer
-		if _, err := c2.WriteTo(&buf2); err != nil {
-			return false
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Log("re-serialization not byte-identical")
-			return false
-		}
-		c3, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return false
-		}
-		in := make([]bool, c.NumInputs())
-		for i := range in {
-			in[i] = rng.Intn(2) == 1
-		}
-		v1, v2, v3 := c.Eval(in), c2.Eval(in), c3.Eval(in)
-		for i := range v1 {
-			if v1[i] != v2[i] || v1[i] != v3[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// ReadBytes rejects truncations, trailing garbage and corrupted
-// headers rather than mis-loading.
-func TestReadBytesRejectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := randomCircuit(rng)
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	for cut := 0; cut < len(good); cut += 7 {
-		if _, err := ReadBytes(good[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	if _, err := ReadBytes(append(append([]byte{}, good...), 0)); err == nil {
-		t.Error("trailing byte accepted")
-	}
-	bad := append([]byte{}, good...)
-	bad[0] = 'X'
-	if _, err := ReadBytes(bad); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// A header lying about the wire count must fail the byte budget, not
-	// allocate.
-	bad = append([]byte{}, good...)
-	for i := 28; i < 36; i++ { // numWires field
-		bad[i] = 0x7f
-	}
-	if _, err := ReadBytes(bad); err == nil {
-		t.Error("lying header accepted")
-	}
-}

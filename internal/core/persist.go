@@ -9,7 +9,7 @@ import (
 	"repro/internal/tctree"
 )
 
-// The flat circuit serializes itself (circuit.WriteTo/ReadBytes), but a
+// The flat circuit serializes itself (circuit.WriteTo/Read), but a
 // *Built* is more than its gates: the typed wrappers carry the decode
 // maps — per-entry signed output representations for matmul, the
 // half-trace representation for count, the decision wire for trace —

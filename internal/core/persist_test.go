@@ -18,7 +18,7 @@ func reserialize(t *testing.T, c *circuit.Circuit) *circuit.Circuit {
 	if _, err := c.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := circuit.ReadBytes(buf.Bytes())
+	c2, err := circuit.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

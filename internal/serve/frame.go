@@ -26,7 +26,7 @@ import (
 //
 // Both sides are strict: unknown op/alg bytes, truncated payloads,
 // nonzero padding bits and trailing bytes are all rejected, mirroring
-// the trailing-byte-strict TCS1 store decoder.
+// the trailing-byte-strict TCS2 store decoder.
 const FrameContentType = "application/x-tcframe"
 
 var (

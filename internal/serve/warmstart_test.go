@@ -95,68 +95,3 @@ func TestServerWarmStartsFromDisk(t *testing.T) {
 		t.Fatalf("healing stats %+v, want 1 corrupt / 1 save", st)
 	}
 }
-
-// A server pointed at a cache directory populated by a TCS1-era binary
-// warm-starts from the legacy artifact and transparently migrates it:
-// the first restart serves from disk (not a rebuild) and republishes
-// the circuit as TCS2, the second restart takes the mapped fast path.
-func TestServerWarmStartsFromLegacyCache(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := store.OpenWith(dir, store.Options{Format: store.FormatVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := core.Shape{Op: core.OpMatMul, N: 4, Alg: "strassen", EntryBits: 2, Signed: true}
-	rng := rand.New(rand.NewSource(78))
-	a := matrix.Random(rng, 4, 4, -2, 2)
-	b := matrix.Random(rng, 4, 4, -2, 2)
-
-	s1 := New(Config{Cache: legacy})
-	want, err := s1.MatMul(context.Background(), shape, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-
-	// Restart on the same directory with the modern default format.
-	cache2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(Config{Cache: cache2})
-	got, err := s2.MatMul(context.Background(), shape, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	defer cache2.Close()
-	if !want.Equal(got) {
-		t.Fatal("migrated server answers differently")
-	}
-	snap := s2.Snapshot()
-	if snap.DiskHits != 1 {
-		t.Fatalf("legacy warm start rebuilt instead of loading: %+v", snap)
-	}
-	if st := cache2.Stats(); st.Migrated != 1 {
-		t.Fatalf("stats %+v, want 1 migration", st)
-	}
-
-	// Third restart: the migrated TCS2 artifact serves the mapped path.
-	cache3, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3 := New(Config{Cache: cache3})
-	got, err = s3.MatMul(context.Background(), shape, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3.Close()
-	defer cache3.Close()
-	if !want.Equal(got) {
-		t.Fatal("mapped server answers differently")
-	}
-	if st := cache3.Stats(); st.Migrated != 0 || (store.MapSupported() && st.Mapped != 1) {
-		t.Fatalf("stats %+v, want 0 migrations and a mapped load", st)
-	}
-}

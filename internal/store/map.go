@@ -87,18 +87,3 @@ func heapFallback(path string, shape core.Shape) (*Mapping, error) {
 	}
 	return &Mapping{built: built}, nil
 }
-
-// DecodeAny sniffs the envelope generation and dispatches: TCS2 by its
-// trailing magic, TCS1 otherwise. This is the read path for tools that
-// accept a file of either format (tcmm load, migration).
-func DecodeAny(shape core.Shape, data []byte) (*core.Built, error) {
-	if isTCS2(data) {
-		return DecodeTCS2(shape, data)
-	}
-	return Decode(shape, data)
-}
-
-func isTCS2(data []byte) bool {
-	return len(data) >= tcs2TailLen && string(data[len(data)-4:]) == tcs2TailMagic &&
-		string(data[:4]) == tcs2Magic
-}

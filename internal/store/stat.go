@@ -10,10 +10,10 @@ import (
 )
 
 // StatInfo summarizes an on-disk artifact from its header and footer
-// alone. Fields a format does not record in its header are -1.
+// alone.
 type StatInfo struct {
 	Path     string
-	Format   int // envelope version: 1 (TCS1) or 2 (TCS2)
+	Format   int // envelope version, as stored
 	ShapeKey string
 	FileSize int64
 
@@ -24,14 +24,14 @@ type StatInfo struct {
 	StoredEdges int64
 	Depth       int64
 
-	Segments   int    // TCS2: integrity segments in the directory
-	RootDigest string // TCS2: hex SHA-256 root, as stored
+	Segments   int    // integrity segments in the directory
+	RootDigest string // hex SHA-256 root, as stored
 }
 
 // Stat reports an artifact's identity and dimensions by reading a few
-// kilobytes — the header, and for TCS2 the fixed footer — regardless
-// of artifact size: no full read, no decode, no checksum pass. Values
-// are reported as stored; Stat identifies, Load verifies.
+// kilobytes — the header and the fixed footer — regardless of artifact
+// size: no full read, no decode, no checksum pass. Values are reported
+// as stored; Stat identifies, Load verifies.
 func Stat(path string) (StatInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -42,74 +42,16 @@ func Stat(path string) (StatInfo, error) {
 	if err != nil {
 		return StatInfo{}, fmt.Errorf("store: %w", err)
 	}
-	info := StatInfo{
-		Path: path, FileSize: fi.Size(),
-		Inputs: -1, Gates: -1, Groups: -1, Outputs: -1, StoredEdges: -1, Depth: -1,
+	info := StatInfo{Path: path, FileSize: fi.Size()}
+	if info.FileSize < tcs2TailLen {
+		return info, fmt.Errorf("%w: %d bytes is shorter than any TCS2 envelope", ErrCorrupt, info.FileSize)
 	}
-	var magic [4]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
-		return info, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	switch string(magic[:]) {
-	case envelopeMagic:
-		return statTCS1(f, info)
-	case tcs2Magic:
-		return statTCS2(f, info)
-	default:
-		return info, fmt.Errorf("%w: unrecognized magic %q", ErrCorrupt, magic[:])
-	}
-}
-
-func statReadAt(f *os.File, off, n int64) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: header truncated", ErrCorrupt)
-		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return buf, nil
-}
-
-func statTCS1(f *os.File, info StatInfo) (StatInfo, error) {
 	hdr, err := statReadAt(f, 0, 12)
 	if err != nil {
 		return info, err
 	}
-	info.Format = int(binary.LittleEndian.Uint32(hdr[4:]))
-	keyLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
-	if keyLen < 0 || keyLen > 1<<16 || 12+keyLen+8 > info.FileSize {
-		return info, fmt.Errorf("%w: implausible key length %d", ErrCorrupt, keyLen)
-	}
-	buf, err := statReadAt(f, 12, keyLen+8)
-	if err != nil {
-		return info, err
-	}
-	info.ShapeKey = string(buf[:keyLen])
-	metaLen := int64(binary.LittleEndian.Uint64(buf[keyLen:]))
-	circOff := 12 + keyLen + 8 + metaLen
-	if metaLen < 0 || circOff+8+4+32 > info.FileSize {
-		return info, fmt.Errorf("%w: implausible metadata length %d", ErrCorrupt, metaLen)
-	}
-	// u64 circLen, then the TCM1 header: magic | numInputs | numGroups |
-	// numGates | numWires(stored).
-	buf, err = statReadAt(f, circOff, 8+4+4*8)
-	if err != nil {
-		return info, err
-	}
-	if string(buf[8:12]) != "TCM1" {
-		return info, fmt.Errorf("%w: circuit section magic %q", ErrCorrupt, buf[8:12])
-	}
-	info.Inputs = int64(binary.LittleEndian.Uint64(buf[12:]))
-	info.Groups = int64(binary.LittleEndian.Uint64(buf[20:]))
-	info.Gates = int64(binary.LittleEndian.Uint64(buf[28:]))
-	info.StoredEdges = int64(binary.LittleEndian.Uint64(buf[36:]))
-	return info, nil
-}
-
-func statTCS2(f *os.File, info StatInfo) (StatInfo, error) {
-	if info.FileSize < tcs2TailLen {
-		return info, fmt.Errorf("%w: %d bytes is shorter than any TCS2 envelope", ErrCorrupt, info.FileSize)
+	if string(hdr[:4]) != tcs2Magic {
+		return info, fmt.Errorf("%w: unrecognized magic %q", ErrCorrupt, hdr[:4])
 	}
 	tail, err := statReadAt(f, info.FileSize-tcs2TailLen, tcs2TailLen)
 	if err != nil {
@@ -121,13 +63,9 @@ func statTCS2(f *os.File, info StatInfo) (StatInfo, error) {
 	info.RootDigest = hex.EncodeToString(tail[:32])
 	info.Segments = int(binary.LittleEndian.Uint32(tail[48:]))
 
-	hdr, err := statReadAt(f, 0, 12)
-	if err != nil {
-		return info, err
-	}
 	info.Format = int(binary.LittleEndian.Uint32(hdr[4:]))
 	keyLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
-	if keyLen < 0 || keyLen > 1<<16 || 12+keyLen+tcs2CountsLen > info.FileSize {
+	if keyLen > 1<<16 || 12+keyLen+tcs2CountsLen > info.FileSize {
 		return info, fmt.Errorf("%w: implausible key length %d", ErrCorrupt, keyLen)
 	}
 	buf, err := statReadAt(f, 12, keyLen+tcs2CountsLen)
@@ -140,4 +78,15 @@ func statTCS2(f *os.File, info StatInfo) (StatInfo, error) {
 	info.Inputs, info.Gates, info.Groups, info.Outputs = u(0), u(1), u(2), u(3)
 	info.StoredEdges, info.Depth = u(4), u(5)
 	return info, nil
+}
+
+func statReadAt(f *os.File, off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, off); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("%w: header truncated", ErrCorrupt)
+		}
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return buf, nil
 }

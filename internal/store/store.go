@@ -1,3 +1,21 @@
+// Package store persists built circuits: the TCS2 envelope (tcs2.go)
+// around a deduplicated encoding of the circuit plus the typed-wrapper
+// metadata (core.BuiltMeta), and a content-addressed on-disk cache
+// keyed by a SHA-256 fingerprint of the shape and the format version.
+//
+// The economics mirror an inference stack: construction is seconds of
+// CPU for large N (even parallelized — see internal/core's pipeline),
+// evaluation is microseconds, and the artifact is deterministic per
+// core.Shape. So the circuit is built once, fingerprinted, and
+// reloaded everywhere else — a mapped cache load is an order of
+// magnitude cheaper than a rebuild (tcbench e26 measures it).
+//
+// Every validation layer must pass before a circuit is handed out: the
+// segment checksums and root digest catch corruption and truncation;
+// the shape key is stored in clear and must match the requested shape
+// exactly, so a fingerprint collision or a renamed file cannot smuggle
+// the wrong circuit in; and the circuit structure and the metadata are
+// re-validated on restore (core.RestoreBuilt).
 package store
 
 import (
@@ -27,190 +45,84 @@ var (
 	ErrVersion = fmt.Errorf("%w (format version mismatch)", ErrCorrupt)
 )
 
-// Fingerprint returns the content address of a shape's artifact in the
-// current (TCS2) format: the hex SHA-256 of the format version and the
-// shape's canonical key (which covers op, N, tau, algorithm, and every
-// circuit-shaping Options field). Equal shapes build bit-identical
-// circuits, so the fingerprint names the artifact, not a particular
-// build of it — and because the version is hashed in, TCS1 and TCS2
-// artifacts live side by side under different addresses.
+// Fingerprint returns the content address of a shape's artifact: the
+// hex SHA-256 of the format version and the shape's canonical key
+// (which covers op, N, tau, algorithm, and every circuit-shaping
+// Options field). Equal shapes build bit-identical circuits, so the
+// fingerprint names the artifact, not a particular build of it — and
+// because the version is hashed in, a format bump moves every artifact
+// to a fresh address instead of misreading the old files.
 func Fingerprint(s core.Shape) string {
-	return fingerprint(FormatVersionTCS2, s)
-}
-
-func fingerprint(version int, s core.Shape) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "tcstore\x00v%d\x00%s", version, s.Key())
+	fmt.Fprintf(h, "tcstore\x00v%d\x00%s", FormatVersionTCS2, s.Key())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Stats is a point-in-time snapshot of a cache's counters.
 type Stats struct {
-	Hits     int64 `json:"hits"`     // successful loads
-	Misses   int64 `json:"misses"`   // absent artifacts
-	Corrupt  int64 `json:"corrupt"`  // artifacts rejected by validation
-	Saves    int64 `json:"saves"`    // artifacts written
-	SaveErr  int64 `json:"save_err"` // failed writes
-	Mapped   int64 `json:"mapped"`   // loads served by an mmap'd artifact
-	Migrated int64 `json:"migrated"` // TCS1 artifacts upgraded to TCS2 on load
-}
-
-// Options configures a cache's format and load strategy.
-type Options struct {
-	// Format selects the envelope generation: FormatVersionTCS2 (the
-	// default, chosen when zero) or FormatVersion for legacy TCS1.
-	Format int
-	// NoMap forces heap decodes even where mmap is available — for
-	// debugging, and for callers that cannot guarantee the cache stays
-	// open for the lifetime of the circuits it hands out.
-	NoMap bool
-}
-
-func (o Options) format() int {
-	if o.Format == 0 {
-		return FormatVersionTCS2
-	}
-	return o.Format
+	Hits    int64 `json:"hits"`     // successful loads
+	Misses  int64 `json:"misses"`   // absent artifacts
+	Corrupt int64 `json:"corrupt"`  // artifacts rejected by validation
+	Saves   int64 `json:"saves"`    // artifacts written
+	SaveErr int64 `json:"save_err"` // failed writes
+	Mapped  int64 `json:"mapped"`   // loads served by an mmap'd artifact
 }
 
 // Cache is a content-addressed on-disk store of built circuits. All
 // methods are safe for concurrent use by multiple goroutines and
 // multiple processes: writers stage to a temp file and atomically
 // rename into place, so readers only ever observe complete artifacts,
-// and concurrent writers of the same shape are idempotent (both
-// envelope encoders are deterministic, so last rename wins with
-// identical bytes).
+// and concurrent writers of the same shape are idempotent (the TCS2
+// encoder is deterministic, so last rename wins with identical bytes).
 //
-// In TCS2 mode, loads go through the mmap path when the platform
-// supports it: the returned circuits alias mapped pages owned by the
-// cache, and stay valid until Close. Long-lived processes (the serving
-// stack) simply never close — the artifacts are their working set —
-// while tests and short-lived tools should Close after the circuits
-// are done with.
+// Loads go through the mmap path when the platform supports it: the
+// returned circuits alias mapped pages owned by the cache, and stay
+// valid until Close. Long-lived processes (the serving stack) simply
+// never close — the artifacts are their working set — while tests and
+// short-lived tools should Close after the circuits are done with.
 type Cache struct {
-	dir  string
-	opts Options
+	dir string
 
-	hits, misses, corrupt, saves, saveErr, mapped, migrated atomic.Int64
+	hits, misses, corrupt, saves, saveErr, mapped atomic.Int64
 
 	mu       sync.Mutex
 	mappings []*Mapping
 }
 
-// Open returns a cache rooted at dir with default options (TCS2,
-// mapped loads), creating the directory if needed.
+// Open returns a cache rooted at dir, creating the directory if needed.
 func Open(dir string) (*Cache, error) {
-	return OpenWith(dir, Options{})
-}
-
-// OpenWith returns a cache rooted at dir with explicit options.
-func OpenWith(dir string, opts Options) (*Cache, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty cache directory")
-	}
-	if f := opts.format(); f != FormatVersion && f != FormatVersionTCS2 {
-		return nil, fmt.Errorf("store: unknown format version %d", f)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Cache{dir: dir, opts: opts}, nil
+	return &Cache{dir: dir}, nil
 }
 
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// Path returns the artifact path for a shape in the cache's configured
-// format, whether or not it exists.
+// Path returns the artifact path for a shape, whether or not it exists.
 func (c *Cache) Path(s core.Shape) string {
-	return filepath.Join(c.dir, fingerprint(c.opts.format(), s)+".tcs")
-}
-
-// legacyPath is where a TCS1-era cache would hold this shape; the TCS2
-// load path falls back to it for transparent migration.
-func (c *Cache) legacyPath(s core.Shape) string {
-	return filepath.Join(c.dir, fingerprint(FormatVersion, s)+".tcs")
+	return filepath.Join(c.dir, Fingerprint(s)+".tcs")
 }
 
 // Load reads, validates and restores the cached Built for shape.
 // Returns ErrMiss when absent and an ErrCorrupt-wrapping error when
 // the artifact fails any validation layer.
 //
-// In TCS2 mode the artifact is memory-mapped (unless Options.NoMap or
-// the platform lacks support) and the circuit aliases the mapping; see
-// the Cache doc for lifetime rules. A miss of the TCS2 artifact falls
-// back to the shape's TCS1-era address: a hit there is decoded, counted
-// as a migration, and re-saved in TCS2 so the next load takes the
-// mapped path. The old file is left in place for older binaries
-// sharing the directory.
+// The artifact is memory-mapped where the platform supports it (see
+// MapCircuit for the heap fallback) and the circuit aliases the
+// mapping; see the Cache doc for lifetime rules.
 func (c *Cache) Load(shape core.Shape) (*core.Built, error) {
-	if c.opts.format() == FormatVersion {
-		data, err := os.ReadFile(c.Path(shape))
-		if err != nil {
-			c.misses.Add(1)
-			if errors.Is(err, os.ErrNotExist) {
-				return nil, ErrMiss
-			}
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		built, err := Decode(shape, data)
-		if err != nil {
-			c.corrupt.Add(1)
-			return nil, err
-		}
-		c.hits.Add(1)
-		return built, nil
-	}
-
-	built, err := c.loadV2(shape)
-	switch {
-	case err == nil:
-		c.hits.Add(1)
-		return built, nil
-	case errors.Is(err, os.ErrNotExist):
-		// fall through to the legacy address
-	default:
-		c.corrupt.Add(1)
-		return nil, err
-	}
-
-	data, err := os.ReadFile(c.legacyPath(shape))
+	m, err := MapCircuit(c.Path(shape), shape)
 	if err != nil {
-		c.misses.Add(1)
 		if errors.Is(err, os.ErrNotExist) {
+			c.misses.Add(1)
 			return nil, ErrMiss
 		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	built, err = Decode(shape, data)
-	if err != nil {
 		c.corrupt.Add(1)
-		return nil, err
-	}
-	// Migrate: republish under the TCS2 address (best-effort — a
-	// read-only directory still serves the legacy artifact).
-	if _, serr := c.save(built); serr == nil {
-		c.saves.Add(1)
-		c.migrated.Add(1)
-	}
-	c.hits.Add(1)
-	return built, nil
-}
-
-// loadV2 resolves the TCS2 artifact, mapped when possible. Absence is
-// reported as an os.ErrNotExist-wrapping error (not ErrMiss) so Load
-// can distinguish "try the legacy address" from a final miss.
-func (c *Cache) loadV2(shape core.Shape) (*core.Built, error) {
-	path := c.Path(shape)
-	if c.opts.NoMap || !mmapSupported {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		return DecodeTCS2(shape, data)
-	}
-	m, err := MapCircuit(path, shape)
-	if err != nil {
 		return nil, err
 	}
 	if m.Mapped() {
@@ -219,6 +131,7 @@ func (c *Cache) loadV2(shape core.Shape) (*core.Built, error) {
 		c.mu.Unlock()
 		c.mapped.Add(1)
 	}
+	c.hits.Add(1)
 	return m.Built(), nil
 }
 
@@ -238,10 +151,9 @@ func (c *Cache) Close() error {
 	return first
 }
 
-// Save writes b's artifact in the cache's configured format, staging
-// to a temp file in the same directory and renaming into place so
-// concurrent readers and writers never observe a partial file. Returns
-// the artifact path.
+// Save writes b's TCS2 artifact, staging to a temp file in the same
+// directory and renaming into place so concurrent readers and writers
+// never observe a partial file. Returns the artifact path.
 func (c *Cache) Save(b *core.Built) (string, error) {
 	path, err := c.save(b)
 	if err != nil {
@@ -253,15 +165,7 @@ func (c *Cache) Save(b *core.Built) (string, error) {
 }
 
 func (c *Cache) save(b *core.Built) (string, error) {
-	var (
-		data []byte
-		err  error
-	)
-	if c.opts.format() == FormatVersionTCS2 {
-		data, err = EncodeTCS2(b)
-	} else {
-		data, err = Encode(b)
-	}
+	data, err := EncodeTCS2(b)
 	if err != nil {
 		return "", err
 	}
@@ -291,20 +195,12 @@ func (c *Cache) save(b *core.Built) (string, error) {
 	return path, nil
 }
 
-// Remove deletes a shape's artifacts — both the configured format's and
-// the legacy address (used after detecting corruption, where leaving a
-// stale legacy file would resurrect the damage on the next load).
-// Missing files are not an error.
+// Remove deletes a shape's artifact (used after detecting corruption).
+// A missing file is not an error.
 func (c *Cache) Remove(shape core.Shape) error {
 	err := os.Remove(c.Path(shape))
 	if errors.Is(err, os.ErrNotExist) {
-		err = nil
-	}
-	if lp := c.legacyPath(shape); lp != c.Path(shape) {
-		lerr := os.Remove(lp)
-		if lerr != nil && !errors.Is(lerr, os.ErrNotExist) && err == nil {
-			err = lerr
-		}
+		return nil
 	}
 	return err
 }
@@ -335,12 +231,11 @@ func (c *Cache) LoadOrBuild(shape core.Shape, buildWorkers int) (*core.Built, bo
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Corrupt:  c.corrupt.Load(),
-		Saves:    c.saves.Load(),
-		SaveErr:  c.saveErr.Load(),
-		Mapped:   c.mapped.Load(),
-		Migrated: c.migrated.Load(),
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Corrupt: c.corrupt.Load(),
+		Saves:   c.saves.Load(),
+		SaveErr: c.saveErr.Load(),
+		Mapped:  c.mapped.Load(),
 	}
 }

@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -56,30 +54,43 @@ func evalBatch(t *testing.T, c *circuit.Circuit, rng *rand.Rand, batch int) [][]
 	return gathered
 }
 
-// The round-trip property the format guarantees: serialize→deserialize
-// yields byte-identical re-serialization, and the reloaded circuit is
-// bit-identical to the original under batched evaluation.
+// The round-trip property the cache guarantees on its load path (mapped
+// where the platform supports it): a saved artifact reloads into a
+// circuit that re-encodes to the exact bytes on disk, expands to the
+// same flat circuit, and is bit-identical under batched evaluation.
 func TestRoundTripByteIdentical(t *testing.T) {
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
 	for _, shape := range testShapes() {
 		t.Run(shape.Key(), func(t *testing.T) {
 			bt, err := core.BuildShape(shape, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := Encode(bt)
+			path, err := cache.Save(bt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := Decode(shape, data)
+			rt, err := cache.Load(shape)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data2, err := Encode(rt)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data2, err := EncodeTCS2(rt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(data, data2) {
-				t.Fatal("re-serialization is not byte-identical")
+				t.Fatal("re-serialization of the loaded circuit is not byte-identical")
+			}
+			if !bytes.Equal(flatBytes(t, bt), flatBytes(t, rt)) {
+				t.Fatal("loaded circuit expands differently from the original")
 			}
 
 			rng := rand.New(rand.NewSource(7))
@@ -95,6 +106,9 @@ func TestRoundTripByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+	if st := cache.Stats(); MapSupported() && st.Mapped != int64(len(testShapes())) {
+		t.Errorf("stats %+v, want every load mapped", st)
 	}
 }
 
@@ -156,30 +170,45 @@ func TestCacheSaveLoad(t *testing.T) {
 	}
 }
 
-// Fault injection: flipping any byte of the artifact must yield a
-// rejection (ErrCorrupt), never a mis-loaded circuit or a panic, and
-// LoadOrBuild must recover by rebuilding.
+// writeArtifact puts data at the cache's address for shape, as a
+// damaged or foreign file would sit there.
+func writeArtifact(t *testing.T, cache *Cache, shape core.Shape, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(cache.Path(shape), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Fault injection through the cache's load path (the mapped decode on
+// mmap-capable platforms): flipping any byte of the artifact on disk
+// must yield a rejection (ErrCorrupt), never a mis-loaded circuit or a
+// panic. The heap decoder's twin is TestTCS2FaultInjectionFlippedBytes.
 func TestFaultInjectionFlippedBytes(t *testing.T) {
 	shape := core.Shape{Op: core.OpTrace, N: 4, Tau: 6, Alg: "strassen"}
 	bt, err := core.BuildShape(shape, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := Encode(bt)
+	good, err := EncodeTCS2(bt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
 
-	// Every byte for small offsets (headers, lengths), then a stride
-	// through the bulk and the trailing checksum region.
+	// Every byte of the header, then a stride through the payload, then
+	// every byte of the leaf table's end and the footer.
 	offsets := map[int]bool{}
-	for i := 0; i < len(good) && i < 128; i++ {
+	for i := 0; i < len(good) && i < 256; i++ {
 		offsets[i] = true
 	}
-	for i := 128; i < len(good); i += 97 {
+	for i := 256; i < len(good); i += 97 {
 		offsets[i] = true
 	}
-	for i := len(good) - 8; i < len(good); i++ {
+	for i := len(good) - tcs2TailLen - 8; i < len(good); i++ {
 		if i >= 0 {
 			offsets[i] = true
 		}
@@ -187,41 +216,53 @@ func TestFaultInjectionFlippedBytes(t *testing.T) {
 	for off := range offsets {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x41
-		if _, err := Decode(shape, bad); err == nil {
+		writeArtifact(t, cache, shape, bad)
+		if _, err := cache.Load(shape); err == nil {
 			t.Fatalf("flipped byte at %d accepted", off)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flipped byte at %d: error %v does not wrap ErrCorrupt", off, err)
 		}
 	}
+	if st := cache.Stats(); st.Hits != 0 || st.Corrupt != int64(len(offsets)) {
+		t.Errorf("stats %+v, want 0 hits / %d corrupt", st, len(offsets))
+	}
 }
 
-// Truncations at every length are rejected.
+// Truncations at every length, and trailing garbage, are rejected by
+// the cache's load path.
 func TestFaultInjectionTruncation(t *testing.T) {
 	shape := core.Shape{Op: core.OpCount, N: 4, Alg: "strassen"}
 	bt, err := core.BuildShape(shape, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := Encode(bt)
+	good, err := EncodeTCS2(bt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
 	step := 1
 	if len(good) > 4096 {
 		step = 31
 	}
 	for cut := 0; cut < len(good); cut += step {
-		if _, err := Decode(shape, good[:cut]); !errors.Is(err, ErrCorrupt) {
+		writeArtifact(t, cache, shape, good[:cut])
+		if _, err := cache.Load(shape); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation to %d bytes: %v", cut, err)
 		}
 	}
-	// Trailing garbage after a valid envelope.
-	if _, err := Decode(shape, append(append([]byte(nil), good...), 0xCC)); !errors.Is(err, ErrCorrupt) {
+	writeArtifact(t, cache, shape, append(append([]byte(nil), good...), 0xCC))
+	if _, err := cache.Load(shape); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing garbage: %v", err)
 	}
 }
 
-// A wrong-version artifact (with a valid checksum) is rejected with
+// A wrong-version artifact (resealed, so only the version differs from
+// a valid file) sitting at the cache address is rejected with
 // ErrVersion, distinguishable from damage but still rebuild-triggering.
 func TestWrongVersionRejected(t *testing.T) {
 	shape := core.Shape{Op: core.OpMatMul, N: 4, Alg: "strassen"}
@@ -229,20 +270,35 @@ func TestWrongVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := Encode(bt)
+	good, err := EncodeTCS2(bt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), good...)
-	bad[4] = FormatVersion + 1 // bump the version field...
-	// ...and re-checksum so only the version differs from a valid file.
-	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], crcTable))
-	_, err = Decode(shape, bad)
+	bad[4] = FormatVersionTCS2 + 1
+	resealed, ok := resealTCS2(bad)
+	if !ok {
+		t.Fatal("reseal failed on a well-formed envelope")
+	}
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	writeArtifact(t, cache, shape, resealed)
+	_, err = cache.Load(shape)
 	if !errors.Is(err, ErrVersion) {
 		t.Errorf("version mismatch: %v, want ErrVersion", err)
 	}
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("ErrVersion must wrap ErrCorrupt, got %v", err)
+	}
+	// LoadOrBuild treats the stale file as a rebuild and replaces it.
+	if _, fromDisk, err := cache.LoadOrBuild(shape, 0); err != nil || fromDisk {
+		t.Fatalf("LoadOrBuild over a wrong-version file: hit=%v err=%v", fromDisk, err)
+	}
+	if _, err := cache.Load(shape); err != nil {
+		t.Fatalf("rebuilt artifact does not load: %v", err)
 	}
 }
 
@@ -371,9 +427,15 @@ func TestConcurrentSaveLoad(t *testing.T) {
 	}
 }
 
-// Fingerprints are stable per shape and distinct across shapes and
-// format versions.
+// Fingerprints are stable per shape, distinct across shapes, and pinned:
+// an existing cache directory stays addressable only while the literal
+// address of every shape is unchanged.
 func TestFingerprint(t *testing.T) {
+	golden := core.Shape{Op: core.OpMatMul, N: 4, Alg: "strassen"}
+	if got, want := Fingerprint(golden), "6212515bbd8d7fa5c3b46e1ca518b4221625e181798a24017a6e3f7d671f46fa"; got != want {
+		t.Errorf("Fingerprint(%s) = %s, want %s", golden.Key(), got, want)
+	}
+
 	seen := map[string]core.Shape{}
 	for _, s := range testShapes() {
 		fp := Fingerprint(s)

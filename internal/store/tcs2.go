@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 
+	"repro/internal/arith"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/tctree"
 )
 
 // TCS2: the compact, mmap-able circuit envelope.
@@ -51,10 +54,9 @@ import (
 // (pattern lengths, threshold pattern length, stream identity), which
 // is what gets the per-group cost to ~6 bytes.
 //
-// Integrity is a two-level digest tree, consistent with the package's
-// TCS1 philosophy (the content address authenticates *which* artifact;
-// checksums catch bit rot at disk bandwidth): CRC-32C leaves over every
-// payload segment — independently checkable, so incremental verifiers
+// Integrity is a two-level digest tree (the content address
+// authenticates *which* artifact; checksums catch bit rot at disk
+// bandwidth): CRC-32C leaves over every payload segment — independently checkable, so incremental verifiers
 // can audit a page range without touching the rest — rolled into one
 // SHA-256 root over the header and the leaf table. Any flipped bit in
 // any segment changes its leaf; any tampered leaf or header byte
@@ -66,10 +68,10 @@ const (
 	tcs2Magic     = "TCS2"
 	tcs2TailMagic = "2SCT"
 
-	// FormatVersionTCS2 is the current envelope version; it feeds the
-	// cache fingerprint, so TCS2 artifacts live under different content
-	// addresses than their TCS1 ancestors and migration is a cache-miss
-	// fallback, never a misread.
+	// FormatVersionTCS2 is the envelope version, bumped on any
+	// incompatible layout change. It is part of both the header and the
+	// cache fingerprint, so a version bump simply misses the old files
+	// instead of misreading them.
 	FormatVersionTCS2 = 2
 
 	// maxDepthTCS2 bounds the spine's level byte. The paper's circuits
@@ -102,6 +104,8 @@ const (
 	// (~0.07 gates/byte at N=16) — before any allocation happens.
 	maxExpandFactor = 64
 )
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 type tcs2Segment struct {
 	kind  byte
@@ -792,4 +796,164 @@ func appendI32s(out []byte, vs []int32) []byte {
 		out = binary.LittleEndian.AppendUint32(out, uint32(v))
 	}
 	return out
+}
+
+// appendMeta serializes a BuiltMeta:
+//
+//	u64 schedLen | sched[] (i64)
+//	4 audits (DownA DownB DownG Up): u64 len | values[] (i64)
+//	product i64 | auditOutput i64
+//	u64 numReps | per rep: pos half, neg half
+//	  half: u64 nTerms | terms[] (i32 wire, i64 weight) | i64 max
+//	i64 output wire
+func appendMeta(out []byte, m core.BuiltMeta) []byte {
+	i64 := func(v int64) { out = binary.LittleEndian.AppendUint64(out, uint64(v)) }
+	i64s := func(vs []int64) {
+		i64(int64(len(vs)))
+		for _, v := range vs {
+			i64(v)
+		}
+	}
+	i64(int64(len(m.Schedule)))
+	for _, h := range m.Schedule {
+		i64(int64(h))
+	}
+	i64s(m.Audit.DownA)
+	i64s(m.Audit.DownB)
+	i64s(m.Audit.DownG)
+	i64s(m.Audit.Up)
+	i64(m.Audit.Product)
+	i64(m.Audit.Output)
+	i64(int64(len(m.Reps)))
+	for _, r := range m.Reps {
+		for _, half := range []arith.Rep{r.Pos, r.Neg} {
+			i64(int64(len(half.Terms)))
+			for _, t := range half.Terms {
+				out = binary.LittleEndian.AppendUint32(out, uint32(t.Wire))
+				i64(t.Weight)
+			}
+			i64(half.Max)
+		}
+	}
+	i64(int64(m.Output))
+	return out
+}
+
+func decodeMeta(data []byte) (core.BuiltMeta, error) {
+	d := &decoder{data: data}
+	var m core.BuiltMeta
+
+	schedLen := d.count(8)
+	if d.err == nil {
+		m.Schedule = make(tctree.Schedule, schedLen)
+		for i := range m.Schedule {
+			m.Schedule[i] = int(d.i64())
+		}
+	}
+	audit := func() []int64 {
+		n := d.count(8)
+		if d.err != nil || n == 0 {
+			return nil
+		}
+		vs := make([]int64, n)
+		for i := range vs {
+			vs[i] = d.i64()
+		}
+		return vs
+	}
+	m.Audit.DownA = audit()
+	m.Audit.DownB = audit()
+	m.Audit.DownG = audit()
+	m.Audit.Up = audit()
+	m.Audit.Product = d.i64()
+	m.Audit.Output = d.i64()
+
+	numReps := d.count(32) // a rep is at least two empty halves (16 bytes each)
+	if d.err == nil {
+		m.Reps = make([]arith.Signed, numReps)
+		for i := range m.Reps {
+			for _, half := range []*arith.Rep{&m.Reps[i].Pos, &m.Reps[i].Neg} {
+				nTerms := d.count(12)
+				if d.err != nil {
+					break
+				}
+				half.Terms = make([]arith.Term, nTerms)
+				for j := range half.Terms {
+					half.Terms[j] = arith.Term{Wire: circuit.Wire(d.u32()), Weight: d.i64()}
+				}
+				half.Max = d.i64()
+			}
+		}
+	}
+	m.Output = circuit.Wire(d.i64())
+	if d.err != nil {
+		return core.BuiltMeta{}, d.err
+	}
+	if d.off != len(data) {
+		return core.BuiltMeta{}, fmt.Errorf("%d trailing metadata bytes", len(data)-d.off)
+	}
+	return m, nil
+}
+
+// decoder reads little-endian values out of a byte slice; methods
+// return zeros after the first error.
+type decoder struct {
+	data []byte
+	off  int
+	err  error
+}
+
+func (d *decoder) has(n int64) bool {
+	if d.err != nil {
+		return false
+	}
+	if n < 0 || int64(len(d.data)-d.off) < n {
+		d.err = io.ErrUnexpectedEOF
+		return false
+	}
+	return true
+}
+
+// count reads a u64 element count and rejects any value whose minimum
+// encoding (elemSize bytes each) cannot fit in the remaining input, so
+// a hostile length cannot drive a large allocation.
+func (d *decoder) count(elemSize int64) int64 {
+	n := d.i64()
+	if d.err != nil {
+		return 0
+	}
+	if n < 0 || n > int64(len(d.data)-d.off)/elemSize {
+		d.err = fmt.Errorf("implausible element count %d", n)
+		return 0
+	}
+	return n
+}
+
+func (d *decoder) i64() int64 {
+	if !d.has(8) {
+		return 0
+	}
+	v := int64(binary.LittleEndian.Uint64(d.data[d.off:]))
+	d.off += 8
+	return v
+}
+
+func (d *decoder) u64() uint64 { return uint64(d.i64()) }
+
+func (d *decoder) u32() uint32 {
+	if !d.has(4) {
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(d.data[d.off:])
+	d.off += 4
+	return v
+}
+
+func (d *decoder) bytes(n int64) []byte {
+	if !d.has(n) {
+		return nil
+	}
+	b := d.data[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
 }

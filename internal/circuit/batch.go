@@ -8,21 +8,17 @@
 // gate-major: each incoming wire's plane is loaded once per 64 samples
 // instead of once per sample, the weight array is streamed once per
 // group instead of once per gate evaluation, and scratch memory (plane
-// arena, per-sample accumulators, counter planes) is allocated once per
-// Evaluator instead of once per call.
+// arena, counters) is allocated once per Evaluator instead of once per
+// call.
 //
-// Two accumulation paths feed the shared threshold step:
-//
-//   - unit path: when every weight in a group's span is in {-1, 0, +1}
-//     (the dominant case for Strassen/Winograd coefficient layers), the
-//     positive and negative contributions are counted with bit-sliced
-//     carry-save adders — amortized O(1) word operations per incoming
-//     plane, independent of how many samples fire.
-//
-//   - general path: arbitrary weights are scattered into 64 per-sample
-//     int64 accumulators by trailing-zero iteration over the plane (or
-//     its complement when more than half the samples fire), so the cost
-//     is proportional to min(firing, quiet) samples, never 64.
+// One kernel evaluates every gate group, and the group's weighted sum
+// never leaves bit-sliced form. Each incoming plane is added into a
+// counter at every set bit of |w| (the paper's layers use ±1 and ±2^k
+// weights, so an edge is usually one add); negative weights add the
+// complemented plane and owe |w|, which is subtracted once per group.
+// Each gate then tests sum >= t a word at a time, most significant
+// plane first, over just enough planes for the sum (at most 64, where
+// the arithmetic wraps modulo 2^64 exactly as int64 sums do).
 //
 // Parallelism reuses one persistent worker pool across levels and
 // calls: batches spanning several 64-sample blocks are split
@@ -52,14 +48,9 @@ type Planes struct {
 // NewPlanes returns an all-false plane batch for the given number of
 // wires and samples.
 func NewPlanes(numWires, batch int) *Planes {
-	if numWires < 0 || batch < 0 {
-		panic(fmt.Sprintf("circuit: invalid plane shape %d wires x %d samples", numWires, batch))
-	}
-	return &Planes{
-		numWires: numWires,
-		batch:    batch,
-		words:    make([]uint64, planeBlocks(batch)*numWires),
-	}
+	p := new(Planes)
+	p.Reset(numWires, batch)
+	return p
 }
 
 // PackBools packs per-sample boolean rows (each of equal length) into
@@ -70,16 +61,7 @@ func PackBools(rows [][]bool) *Planes {
 	}
 	p := NewPlanes(len(rows[0]), len(rows))
 	for s, row := range rows {
-		if len(row) != p.numWires {
-			panic(fmt.Sprintf("circuit: row %d has %d values, want %d", s, len(row), p.numWires))
-		}
-		base := (s / 64) * p.numWires
-		bit := uint64(1) << uint(s%64)
-		for w, v := range row {
-			if v {
-				p.words[base+w] |= bit
-			}
-		}
+		p.SetRow(s, row)
 	}
 	return p
 }
@@ -95,17 +77,19 @@ func (p *Planes) Reset(numWires, batch int) {
 	if numWires < 0 || batch < 0 {
 		panic(fmt.Sprintf("circuit: invalid plane shape %d wires x %d samples", numWires, batch))
 	}
-	need := planeBlocks(batch) * numWires
-	if cap(p.words) < need {
+	p.reshape(numWires, batch)
+	clear(p.words)
+}
+
+// reshape sets p's shape, reusing its word storage when it is large
+// enough; the words' contents are left as they are.
+func (p *Planes) reshape(numWires, batch int) {
+	if need := planeBlocks(batch) * numWires; cap(p.words) < need {
 		p.words = make([]uint64, need)
 	} else {
 		p.words = p.words[:need]
-		for i := range p.words {
-			p.words[i] = 0
-		}
 	}
-	p.numWires = numWires
-	p.batch = batch
+	p.numWires, p.batch = numWires, batch
 }
 
 // SetRow sets sample s to the given boolean row. Bits are written in
@@ -178,15 +162,8 @@ func (p *Planes) GatherInto(dst *Planes, wires []Wire) *Planes {
 	if dst == nil {
 		dst = &Planes{}
 	}
-	nblk := planeBlocks(p.batch)
-	dst.numWires = len(wires)
-	dst.batch = p.batch
-	if need := nblk * len(wires); cap(dst.words) < need {
-		dst.words = make([]uint64, need)
-	} else {
-		dst.words = dst.words[:need]
-	}
-	for blk := 0; blk < nblk; blk++ {
+	dst.reshape(len(wires), p.batch)
+	for blk := 0; blk < planeBlocks(p.batch); blk++ {
 		src := p.words[blk*p.numWires:]
 		out := dst.words[blk*len(wires):]
 		for i, w := range wires {
@@ -206,17 +183,21 @@ func (p *Planes) Clone() *Planes {
 // are true — the popcount reduction behind batched energy accounting.
 func (p *Planes) CountTrue(lo, hi Wire) []int64 {
 	out := make([]int64, p.batch)
+	p.addCounts(out, lo, hi)
+	return out
+}
+
+// addCounts adds CountTrue(lo, hi) into out.
+func (p *Planes) addCounts(out []int64, lo, hi Wire) {
 	for blk := 0; blk < planeBlocks(p.batch); blk++ {
 		src := p.words[blk*p.numWires:]
 		base := blk * 64
 		for w := lo; w < hi; w++ {
 			for x := src[w]; x != 0; x &= x - 1 {
-				s := base + bits.TrailingZeros64(x)
-				out[s]++ // tail bits are zero-masked, so s < batch
+				out[base+bits.TrailingZeros64(x)]++ // tail bits are zero-masked
 			}
 		}
 	}
-	return out
 }
 
 // EnergyBatch returns the per-sample energy (number of firing gates,
@@ -244,21 +225,9 @@ func (c *Circuit) EnergyLevelsBatch(p *Planes) [][]int64 {
 	for l := range out {
 		out[l] = make([]int64, p.batch)
 	}
-	nblk := planeBlocks(p.batch)
-	for gi := range c.groups {
-		gr := &c.groups[gi]
-		lvl := out[gr.level-1]
-		lo := c.numInputs + int(gr.gateStart)
-		hi := lo + int(gr.gateCount)
-		for blk := 0; blk < nblk; blk++ {
-			src := p.words[blk*p.numWires:]
-			base := blk * 64
-			for w := lo; w < hi; w++ {
-				for x := src[w]; x != 0; x &= x - 1 {
-					lvl[base+bits.TrailingZeros64(x)]++ // tail bits are zero-masked
-				}
-			}
-		}
+	for _, gr := range c.groups {
+		lo := Wire(c.numInputs) + Wire(gr.gateStart)
+		p.addCounts(out[gr.level-1], lo, lo+Wire(gr.gateCount))
 	}
 	return out
 }
@@ -300,9 +269,9 @@ func (p *workerPool) close() { p.once.Do(func() { close(p.tasks) }) }
 
 // Evaluator is a reusable batch-evaluation engine for one circuit.
 // Construct once per circuit, evaluate any number of batches; scratch
-// (plane arena, accumulators, counter planes, worker pool) is owned by
-// the evaluator and reused across calls. An Evaluator must not be used
-// from multiple goroutines concurrently (it parallelizes internally).
+// (plane arena, counters, worker pool) is owned by the evaluator and
+// reused across calls. An Evaluator must not be used from multiple
+// goroutines concurrently (it parallelizes internally).
 type Evaluator struct {
 	c       *Circuit
 	workers int
@@ -310,13 +279,9 @@ type Evaluator struct {
 
 	arena Planes // full wire planes, grown to the largest batch seen
 
-	// Per-slot scratch, indexed by pool-worker id; slot `workers` is the
-	// calling goroutine's (used on every sequential path).
-	accs [][]int64  // 64 per-sample sum accumulators
-	cnts [][]uint64 // 2*cntPlanes carry-save counter planes (pos, neg)
-
-	cntPlanes int    // planes per carry-save counter
-	unitGroup []bool // group -> all span weights in {-1,0,+1}
+	// Per-slot kernel scratch, indexed by pool-worker id; slot `workers`
+	// is the calling goroutine's (used on every sequential path).
+	work []groupWork
 
 	scratch []bool // wire array reused by Eval (single sample)
 }
@@ -329,34 +294,7 @@ func NewEvaluator(c *Circuit, workers int) *Evaluator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Evaluator{
-		c:         c,
-		workers:   workers,
-		cntPlanes: bits.Len64(uint64(c.MaxFanIn())) + 1,
-		unitGroup: make([]bool, len(c.groups)),
-	}
-	for gi := range c.groups {
-		gr := &c.groups[gi]
-		// The unit path pays off once the carry-save machinery beats
-		// direct scatter; tiny spans stay on the general path.
-		if gr.inEnd-gr.inStart < 4 {
-			continue
-		}
-		unit := true
-		for _, w := range c.weights[gr.wOff : gr.wOff+(gr.inEnd-gr.inStart)] {
-			if w < -1 || w > 1 {
-				unit = false
-				break
-			}
-		}
-		e.unitGroup[gi] = unit
-	}
-	e.accs = make([][]int64, workers+1)
-	e.cnts = make([][]uint64, workers+1)
-	for i := range e.accs {
-		e.accs[i] = make([]int64, 64)
-		e.cnts[i] = make([]uint64, 2*e.cntPlanes)
-	}
+	e := &Evaluator{c: c, workers: workers, work: make([]groupWork, workers+1)}
 	if workers > 1 {
 		e.pool = newWorkerPool(workers)
 		runtime.SetFinalizer(e, func(ev *Evaluator) { ev.pool.close() })
@@ -413,13 +351,7 @@ func (e *Evaluator) EvalPlanes(in *Planes) *Planes {
 	}
 	nw := c.numInputs + c.Size()
 	nblk := planeBlocks(in.batch)
-	e.arena.numWires = nw
-	e.arena.batch = in.batch
-	if need := nblk * nw; cap(e.arena.words) < need {
-		e.arena.words = make([]uint64, need)
-	} else {
-		e.arena.words = e.arena.words[:need]
-	}
+	e.arena.reshape(nw, in.batch)
 	// Copy the input planes into the arena block by block. PackBools
 	// leaves tail bits (samples >= batch) zero; evalBlock preserves that
 	// invariant for gate planes via tail masking.
@@ -500,113 +432,176 @@ func (e *Evaluator) blockPlanes(blk int) ([]uint64, uint64) {
 	return planes, mask
 }
 
-// evalGroupPlanes is the batched analogue of evalGroup: compute the 64
-// per-sample weighted sums of one group's shared span, then apply every
-// member gate's threshold, writing one output plane per gate.
+// evalGroupPlanes is the batched analogue of evalGroup: one bit-sliced
+// sum per group, one compare per member gate (see the package comment).
 func (e *Evaluator) evalGroupPlanes(gi int32, planes []uint64, mask uint64, slot int) {
 	c := e.c
 	gr := &c.groups[gi]
-	acc := e.accs[slot]
-	for i := range acc {
-		acc[i] = 0
-	}
+	wk := &e.work[slot]
 	wires := c.wires[gr.inStart:gr.inEnd]
 	ws := c.weights[gr.wOff : gr.wOff+int64(len(wires))]
 	wb := gr.wireBase
-	var base int64 // weight mass applied to every sample
-	if e.unitGroup[gi] {
-		// Unit path: carry-save popcount of the +1 and -1 planes.
-		pos := e.cnts[slot][:e.cntPlanes]
-		neg := e.cnts[slot][e.cntPlanes:]
-		usedP, usedN := 0, 0
-		for i, rw := range wires {
-			x := planes[wb+rw]
-			if x == 0 {
-				continue
-			}
-			switch ws[i] {
-			case 1:
-				usedP = csAdd(pos, x, usedP)
-			case -1:
-				usedN = csAdd(neg, x, usedN)
-			}
+	var debt uint64 // |w| summed over the negative edges that fired
+	for i, rw := range wires {
+		x := planes[wb+rw]
+		if x == 0 {
+			continue
 		}
-		for j := 0; j < usedP; j++ {
-			w := int64(1) << uint(j)
-			for x := pos[j]; x != 0; x &= x - 1 {
-				acc[bits.TrailingZeros64(x)] += w
-			}
-			pos[j] = 0
-		}
-		for j := 0; j < usedN; j++ {
-			w := int64(1) << uint(j)
-			for x := neg[j]; x != 0; x &= x - 1 {
-				acc[bits.TrailingZeros64(x)] -= w
-			}
-			neg[j] = 0
-		}
-	} else {
-		// General path: scatter each weight into the per-sample
-		// accumulators, iterating whichever of plane/complement has
-		// fewer set bits.
-		for i, rw := range wires {
-			x := planes[wb+rw]
-			if x == 0 {
-				continue
-			}
-			w := ws[i]
-			if x == ^uint64(0) {
-				base += w
-				continue
-			}
-			if bits.OnesCount64(x) > 32 {
-				base += w
-				for y := ^x; y != 0; y &= y - 1 {
-					acc[bits.TrailingZeros64(y)] -= w
-				}
-			} else {
-				for ; x != 0; x &= x - 1 {
-					acc[bits.TrailingZeros64(x)] += w
-				}
-			}
+		// A negative weight adds its complement, -x·|w| = ^x·|w| - |w|,
+		// and owes |w| per lane. math.MinInt64 gives |w| = 2^63.
+		neg := uint64(ws[i] >> 63)
+		x ^= neg
+		m := (uint64(ws[i]) ^ neg) - neg
+		debt += m & neg
+		for ; m != 0; m &= m - 1 {
+			wk.ctr.add(x, bits.TrailingZeros64(m))
 		}
 	}
-	if base != 0 {
-		for s := range acc {
-			acc[s] += base
-		}
-	}
+	width := wk.minus(debt)
+	sum := wk.sum[:width]
+	// Flipping the sign plane biases the sum by 2^(width-1) to unsigned.
+	sum[width-1] = ^sum[width-1]
+	lo := int64(-1) << uint(width-1) // smallest representable sum
+
+	// Compare most significant plane first: gt[j] marks lanes already
+	// above tb after planes width-1..j, eq[j] lanes still equal to it.
+	// Levels valid..width hold for the previous threshold, so a gate
+	// resumes below the high bits it shares with it: a Lemma 3.1 bank of
+	// thresholds 1..2^k costs O(1) planes per gate. Below tb's lowest
+	// set bit gt|eq no longer changes.
+	gt, eq := wk.gt[:width+1], wk.eq[:width+1]
+	gt[width], eq[width] = 0, ^uint64(0)
+	valid := width
+	var prev uint64
 	outBase := c.numInputs + int(gr.gateStart)
-	for k := int32(0); k < gr.gateCount; k++ {
-		t := c.thresholds[gr.gateStart+k]
-		var out uint64
-		for s := 0; s < 64; s++ {
-			// Branchless sum >= t: sign bit of (sum - t) selects 0/1.
-			out |= uint64(1+((acc[s]-t)>>63)) << uint(s)
+	for k, t := range c.thresholds[gr.gateStart : gr.gateStart+gr.gateCount] {
+		switch {
+		case t <= lo:
+			planes[outBase+k] = mask
+		case width < sumPlanes && t > ^lo:
+			planes[outBase+k] = 0
+		default:
+			tb := uint64(t) - uint64(lo)
+			stop := bits.TrailingZeros64(tb)
+			j := max(valid-1, bits.Len64(tb^prev)-1)
+			for ; j >= stop; j-- {
+				a := sum[j]
+				if tb>>uint(j)&1 == 1 {
+					gt[j], eq[j] = gt[j+1], eq[j+1]&a
+				} else {
+					gt[j], eq[j] = gt[j+1]|eq[j+1]&a, eq[j+1]&^a
+				}
+			}
+			valid, prev = j+1, tb
+			planes[outBase+k] = (gt[stop] | eq[stop]) & mask
 		}
-		planes[outBase+int(k)] = out & mask
 	}
 }
 
-// csAdd adds bit plane x into the carry-save counter planes cnt,
-// returning the updated number of planes in use. Amortized O(1) word
-// operations per call (binary-counter argument).
-func csAdd(cnt []uint64, x uint64, used int) int {
+// sumPlanes is the bit-sliced counter width: 64 planes hold any int64
+// sum modulo 2^64.
+const sumPlanes = 64
+
+// groupWork is one worker's scratch for evalGroupPlanes.
+type groupWork struct {
+	ctr    counter
+	sum    [sumPlanes]uint64
+	gt, eq [sumPlanes + 1]uint64
+}
+
+// counter is a bit-sliced counter that defers its carries: lane s holds
+// Σ_j 2^j·(bit s of each plane pending at position j), modulo 2^64. The
+// seventh plane at a position compresses its list to one plane there
+// and one at each of the next two positions with four full adders, so
+// an add never ripples; a plain binary counter would carry while any of
+// the 64 lanes does, about six planes per add on random data.
+type counter struct {
+	pend    [sumPlanes][pendCap]uint64
+	n       [sumPlanes]uint8 // planes pending at each position
+	touched uint64           // bit j: position j may hold planes
+}
+
+// pendCap is the most planes a position holds between compressions.
+const pendCap = 6
+
+// add adds plane x at position j (x·2^j per lane).
+func (c *counter) add(x uint64, j int) {
+	k := c.n[j]
+	if k == pendCap {
+		c.compress(x, j)
+		return
+	}
+	c.pend[j][k] = x
+	c.n[j] = k + 1
+	c.touched |= 1 << uint(j)
+}
+
+// compress folds position j's six pending planes and x into one plane
+// at j, one at j+1 and one at j+2.
+func (c *counter) compress(x uint64, j int) {
+	p := &c.pend[j]
+	s1, c1 := fullAdd(p[0], p[1], p[2])
+	s2, c2 := fullAdd(p[3], p[4], p[5])
+	s, c3 := fullAdd(s1, s2, x)
+	t, u := fullAdd(c1, c2, c3)
+	p[0], c.n[j] = s, 1
+	if t != 0 && j+1 < sumPlanes {
+		c.add(t, j+1)
+	}
+	if u != 0 && j+2 < sumPlanes {
+		c.add(u, j+2)
+	}
+}
+
+// resolve writes the counter's value into out as plain binary planes,
+// clears the counter and returns the number of planes written. Carries
+// past the top position are dropped (arithmetic modulo 2^64).
+func (c *counter) resolve(out *[sumPlanes]uint64) int {
 	j := 0
-	for carry := x; carry != 0; j++ {
-		old := cnt[j]
-		cnt[j] = old ^ carry
-		carry = old & carry
+	for ; j < bits.Len64(c.touched); j++ {
+		p := &c.pend[j]
+		m := int(c.n[j])
+		for ; m > 1; m-- {
+			var s, cy uint64
+			if m > 2 {
+				s, cy = fullAdd(p[m-3], p[m-2], p[m-1])
+				m--
+			} else {
+				s, cy = p[0]^p[1], p[0]&p[1]
+			}
+			p[m-2] = s
+			if cy != 0 && j+1 < sumPlanes {
+				c.add(cy, j+1)
+			}
+		}
+		out[j] = p[0] & -uint64(m) // m is 0 or 1 here
+		c.n[j] = 0
 	}
-	if j > used {
-		return j
-	}
-	return used
+	c.touched = 0
+	return j
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+func fullAdd(a, b, c uint64) (sum, carry uint64) {
+	t := a ^ b
+	return t ^ c, a&b | t&c
+}
+
+// minus resolves the counter less debt into w.sum as width planes of
+// two's complement and clears the counter. The counter is below
+// 2^planes and debt below 2^bits.Len64(debt), so one more plane holds
+// the sign; at 64 planes the arithmetic wraps modulo 2^64 exactly as
+// int64 sums do.
+func (w *groupWork) minus(debt uint64) int {
+	np := w.ctr.resolve(&w.sum)
+	width := min(max(np, bits.Len64(debt))+1, sumPlanes)
+	clear(w.sum[np:width])
+	var br uint64
+	for j, a := range w.sum[:width] {
+		if debt>>uint(j)&1 == 1 {
+			w.sum[j], br = ^(a ^ br), ^a|br
+		} else {
+			w.sum[j], br = a^br, ^a&br
+		}
 	}
-	return b
+	return width
 }

@@ -76,9 +76,9 @@ func TestEvalBatchEmptyGroups(t *testing.T) {
 	}
 }
 
-// Unit-weight groups take the carry-save path; weights outside
-// {-1,0,1} in the same circuit take the general path. Exercise both at
-// fan-ins that stress the counter planes.
+// Wide ±1 spans put 80 planes on one counter position; weights up to
+// ±8 spread them over several. Exercise both at fan-ins that stress the
+// counters' compressions.
 func TestEvalBatchUnitWeightPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const nin = 80

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -56,9 +57,9 @@ func FuzzRead(f *testing.F) {
 }
 
 // randomUnitCircuit is randomCircuit restricted to weights in {-1, 0,
-// +1} with fan-in >= 4: every group qualifies for the evaluator's
-// carry-save unit-weight fast path, which randomCircuit's mixed
-// weights rarely exercise.
+// +1} with fan-in >= 4: the wide ±1 spans of the Strassen/Winograd
+// coefficient layers, which feed the evaluator's counters many planes
+// at one position and so drive their compressions.
 func randomUnitCircuit(rng *rand.Rand) *Circuit {
 	nin := 4 + rng.Intn(6)
 	b := NewBuilder(nin)
@@ -89,12 +90,76 @@ func randomUnitCircuit(rng *rand.Rand) *Circuit {
 	return b.Build()
 }
 
+// randomEdgeCircuit draws weights and thresholds from the edges of the
+// bit-sliced arithmetic: powers of two up to 2^62 (one counter plane
+// each), arbitrary magnitudes (many planes), math.MinInt64 and
+// math.MaxInt64 (sums wrap modulo 2^64 exactly as int64 does), and
+// thresholds at the int64 extremes, at 0 and just around ±Σ|w|, where
+// the evaluator's width clamp decides the answer without a compare.
+func randomEdgeCircuit(rng *rand.Rand) *Circuit {
+	weight := func() int64 {
+		var w int64
+		switch rng.Intn(6) {
+		case 0, 1:
+			w = int64(1) << uint(rng.Intn(63))
+		case 2:
+			w = rng.Int63()
+		case 3:
+			w = int64(3 + rng.Intn(100))
+		case 4:
+			return []int64{math.MinInt64, math.MaxInt64, 0}[rng.Intn(3)]
+		case 5:
+			w = 1
+		}
+		if rng.Intn(2) == 0 {
+			w = -w
+		}
+		return w
+	}
+	nin := 3 + rng.Intn(6)
+	b := NewBuilder(nin)
+	nOps := 10 + rng.Intn(30)
+	var last Wire = 0
+	for i := 0; i < nOps; i++ {
+		avail := int32(nin + b.Size())
+		fanin := 1 + rng.Intn(10)
+		ins := make([]Wire, fanin)
+		ws := make([]int64, fanin)
+		var mass int64 // Σ|w|, wrapping like the sums themselves
+		for j := range ins {
+			ins[j] = Wire(rng.Int31n(avail))
+			ws[j] = weight()
+			if ws[j] < 0 {
+				mass -= ws[j]
+			} else {
+				mass += ws[j]
+			}
+		}
+		ts := make([]int64, 1+rng.Intn(6))
+		for j := range ts {
+			ts[j] = []int64{
+				math.MinInt64, math.MaxInt64, 0,
+				mass - 1, mass, mass + 1, -mass - 1, -mass, -mass + 1,
+				int64(rng.Intn(9) - 4), rng.Int63() - rng.Int63(),
+			}[rng.Intn(11)]
+		}
+		outs := b.GateGroup(ins, ws, ts)
+		last = outs[len(outs)-1]
+		if rng.Intn(4) == 0 {
+			b.MarkOutput(last)
+		}
+	}
+	b.MarkOutput(last)
+	return b.Build()
+}
+
 // FuzzEvalBatch: the bit-sliced batch engine must be bit-for-bit
 // identical to scalar Eval and EvalParallel on random circuits and
 // random batches, across the 64-sample word boundary and both the
-// sequential and pooled configurations. Negative seeds select the
-// all-unit-weight circuit family (the carry-save fast path); the
-// checked-in corpus under testdata/fuzz pins both families at batch
+// sequential and pooled configurations. Seeds divisible by 5 select the
+// arithmetic-edge family (randomEdgeCircuit); other negative seeds the
+// all-unit-weight family; the rest randomCircuit's small mixed weights.
+// The checked-in corpus under testdata/fuzz pins every family at batch
 // sizes 1, 63, 64 and 65.
 func FuzzEvalBatch(f *testing.F) {
 	f.Add(int64(1), uint8(0))
@@ -105,13 +170,20 @@ func FuzzEvalBatch(f *testing.F) {
 	f.Add(int64(-2), uint8(62))
 	f.Add(int64(-3), uint8(63))
 	f.Add(int64(-4), uint8(64))
+	f.Add(int64(5), uint8(0))
+	f.Add(int64(10), uint8(62))
+	f.Add(int64(-15), uint8(63))
+	f.Add(int64(20), uint8(64))
 	f.Fuzz(func(t *testing.T, seed int64, rawBatch uint8) {
 		batch := int(rawBatch)%130 + 1
 		rng := rand.New(rand.NewSource(seed))
 		var c *Circuit
-		if seed < 0 {
+		switch {
+		case seed%5 == 0:
+			c = randomEdgeCircuit(rng)
+		case seed < 0:
 			c = randomUnitCircuit(rng)
-		} else {
+		default:
 			c = randomCircuit(rng)
 		}
 		inputs := make([][]bool, batch)

@@ -1,22 +1,30 @@
 package circuit
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // paddingAuditCircuit builds a circuit engineered to expose padding
-// leaks in the final partial 64-sample block:
+// leaks in the final partial 64-sample block. The bit-sliced kernel
+// writes whole words: a gate whose threshold lies below every
+// representable sum gets an all-ones plane, and the compare's sign-plane
+// flip sets every lane, so each output must be masked to the batch.
 //
-//   - an always-firing unit-path group (span >= 4, weights all +1,
-//     thresholds 0 and negative): its true output plane is all-ones, so
-//     any failure to mask the tail produces 1-bits in padding lanes;
-//   - a general-path group with weights outside {-1,0,+1}, including a
-//     wide span designed to trip the >32-firing-samples complement
-//     optimization (base += w; subtract over ^x), whose ^x iteration
-//     deliberately walks the tail lanes;
-//   - a second level reading both, so a leaked pad bit in level 1 would
-//     also corrupt carry-save sums and thresholds downstream.
+//   - an always-firing unit-weight group (weights all +1, thresholds 0
+//     and negative): its true output plane is all-ones, so any failure
+//     to mask the tail produces 1-bits in padding lanes;
+//   - a mixed-weight group (weights in [-3, 3]) whose threshold -1000
+//     always fires, so the negative counter and the subtraction run;
+//   - a clamp group: +1 weights whose thresholds sit on and just past
+//     ±2^k for every width the sum can take, so the kernel answers some
+//     gates from the width clamp (all-ones or all-zero, no compare) and
+//     the rest through the compare at the edge of the range;
+//   - a wrap group: math.MaxInt64 and math.MinInt64 weights, so the sum
+//     needs all 64 planes and wraps modulo 2^64 as int64 does;
+//   - a second level reading the first, so a leaked pad bit in level 1
+//     would also corrupt the counters and thresholds downstream.
 func paddingAuditCircuit(t *testing.T) *Circuit {
 	t.Helper()
 	const n = 40
@@ -25,15 +33,15 @@ func paddingAuditCircuit(t *testing.T) *Circuit {
 	for i := range ins {
 		ins[i] = b.Input(i)
 	}
-	// Unit path: all-+1 weights; thresholds 0 and -3 always fire, n+1
-	// never fires, and n/2 depends on the sample.
+	// All +1 weights; thresholds 0 and -3 always fire, n+1 never fires,
+	// and n/2 depends on the sample.
 	unitW := make([]int64, n)
 	for i := range unitW {
 		unitW[i] = 1
 	}
 	unit := b.GateGroup(ins, unitW, []int64{0, -3, int64(n) / 2, int64(n) + 1})
-	// General path: mixed magnitudes; threshold -1000 always fires (its
-	// plane is all-ones in a full block), 0 is sample-dependent.
+	// Mixed magnitudes; threshold -1000 always fires (its plane is
+	// all-ones in a full block), 0 is sample-dependent.
 	genW := make([]int64, n)
 	for i := range genW {
 		genW[i] = int64(i%7) - 3 // in [-3, 3], not all unit
@@ -48,6 +56,25 @@ func paddingAuditCircuit(t *testing.T) *Circuit {
 		b.MarkOutput(w)
 	}
 	for _, w := range unit {
+		b.MarkOutput(w)
+	}
+	// A sum of k +1 weights takes at most 7 planes with the sign; a
+	// threshold t <= -2^(width-1) fires everywhere and t >= 2^(width-1)
+	// nowhere without a compare.
+	var clampT []int64
+	for k := 0; k <= 7; k++ {
+		p := int64(1) << uint(k)
+		clampT = append(clampT, -p-1, -p, -p+1, p-1, p, p+1)
+	}
+	for _, w := range b.GateGroup(ins, unitW, clampT) {
+		b.MarkOutput(w)
+	}
+	wrapW := make([]int64, n)
+	for i := range wrapW {
+		wrapW[i] = []int64{math.MaxInt64, math.MinInt64, math.MaxInt64, 1}[i%4]
+	}
+	wrapT := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for _, w := range b.GateGroup(ins, wrapW, wrapT) {
 		b.MarkOutput(w)
 	}
 	return b.Build()

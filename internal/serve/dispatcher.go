@@ -193,7 +193,9 @@ func (s *Server) serveBatch(e *entry, st *stripe, shard int, batch []*request, i
 	start := time.Now()
 	if len(live) == 1 {
 		// Singleton fast path: a batch of one evaluates cheaper through
-		// the scalar engine than through a 1/64-occupied plane pass.
+		// the scalar engine than through a 1/64-occupied plane pass. On
+		// Strassen N=8, 2-bit signed (401,192 gates), one core of a
+		// 2-core host: Eval 3.1-4.5 ms, EvalPlanes at batch 1 6.4-8.4 ms.
 		s.metrics.singletons.Add(1)
 		r := live[0]
 		vals := st.ev.Eval(r.in)
